@@ -47,6 +47,7 @@ from typing import Dict, List, Optional, TYPE_CHECKING
 from repro.core.injector import FaultInjectorNode
 from repro.pipeline.builder import build_pipeline, env_flag
 from repro.pipeline.runner import DEFAULT_ABORT_GRACE, MissionRunner
+from repro.planning.rrt import reset_plan_memo
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.executor import RunSpec
@@ -404,8 +405,9 @@ class CheckpointManager:
         self._cursors.pop(prefix_key, None)
 
     def reset(self) -> None:
-        """Drop every cursor and zero the statistics."""
+        """Drop every cursor, the planner memo and zero the statistics."""
         self._cursors.clear()
+        reset_plan_memo()
         self.stats = CheckpointStats()
 
     # ------------------------------------------------------------- execution
@@ -496,5 +498,5 @@ def checkpoint_stats() -> CheckpointStats:
 
 
 def reset_checkpoint_caches() -> None:
-    """Drop all cursors and zero the statistics (tests, benchmarks)."""
+    """Drop all cursors and the planner memo, zero the statistics (tests, benchmarks)."""
     _MANAGER.reset()

@@ -5,15 +5,79 @@ the paper evaluates RRT, RRTConnect and RRT* (Fig. 3).  These planners operate
 on the occupancy map snapshot: a state is valid when it keeps a clearance
 distance from every occupied voxel centre, and an edge is valid when all its
 samples are valid.  The implementations are deterministic given the seed.
+
+Two things keep planning cheap without changing a single decision (the
+numpy-per-call originals live on as references in
+``repro.bench.scalar_ref``):
+
+* the validity checks run on Python floats, with the same IEEE operations
+  the numpy broadcast performed; a norm that only feeds a threshold test is
+  summed in Python and re-computed with ``np.linalg.norm`` when it lands
+  within a relative 1e-9 of the threshold, because BLAS ``ddot`` may sum in
+  a different order;
+* results are memoised per process (:func:`reset_plan_memo`): a masked fault
+  re-flies its golden run and re-plans exactly the problems it already
+  solved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import copy
+import functools
+import hashlib
+import math
+from collections import OrderedDict
+from dataclasses import dataclass, field, fields
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+#: Relative distance from a threshold inside which a norm summed in Python
+#: is not trusted to fall on the same side as ``np.linalg.norm``.
+_NORM_BAND = 1e-9
+
+Point = Tuple[float, float, float]
+
+
+def _norm_below(p: Point, q: Point, threshold: float, inclusive: bool = False) -> bool:
+    """``np.linalg.norm(p - q) < threshold`` (``<=`` when ``inclusive``)."""
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    dz = p[2] - q[2]
+    norm = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if not (
+        threshold > 0.0
+        and math.isfinite(norm)
+        and abs(norm - threshold) > _NORM_BAND * threshold
+    ):
+        norm = float(np.linalg.norm(np.array(p) - np.array(q)))
+    return norm <= threshold if inclusive else norm < threshold
+
+
+def _edge_sample_count(a: Point, b: Point, step: float) -> int:
+    """``max(2, ceil(np.linalg.norm(b - a) / step) + 1)``."""
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    dz = b[2] - a[2]
+    ratio = math.sqrt(dx * dx + dy * dy + dz * dz) / step
+    if step > 0.0 and 0.0 <= ratio < 1e15:
+        upper = ratio * (1.0 + _NORM_BAND)
+        if upper <= 1.0:
+            return 2
+        count = math.ceil(upper)
+        if math.ceil(ratio * (1.0 - _NORM_BAND)) == count:
+            return count + 1
+    # Too close to call, or not finite: the numpy expression, which raises on
+    # a NaN or infinite length just as the reference does.
+    length = float(np.linalg.norm(np.array(b) - np.array(a)))
+    return max(2, int(np.ceil(length / step)) + 1)
+
+
+@functools.lru_cache(maxsize=256)
+def _unit_steps(n_samples: int) -> Tuple[float, ...]:
+    """``np.linspace(0, 1, n_samples)`` as Python floats."""
+    return tuple(np.linspace(0.0, 1.0, n_samples).tolist())
 
 
 @dataclass
@@ -43,41 +107,54 @@ class PlanningProblem:
             self._tree: Optional[cKDTree] = cKDTree(self.occupied_centers)
         else:
             self._tree = None
+        self._lo = tuple(np.asarray(self.bounds_lo, dtype=float).tolist())
+        self._hi = tuple(np.asarray(self.bounds_hi, dtype=float).tolist())
+        self._start = tuple(self.start.tolist())
+
+    def _outside(self, x: float, y: float, z: float) -> bool:
+        # "Any coordinate below lo or above hi": a NaN coordinate must count
+        # as inside, as in the reference ``np.any(p < lo) or np.any(p > hi)``.
+        lo, hi = self._lo, self._hi
+        return x < lo[0] or y < lo[1] or z < lo[2] or x > hi[0] or y > hi[1] or z > hi[2]
 
     # ---------------------------------------------------------------- queries
     def state_valid(self, point: np.ndarray) -> bool:
         """Whether ``point`` is inside bounds and clear of occupied voxels."""
         p = np.asarray(point, dtype=float)
-        lo = np.asarray(self.bounds_lo, dtype=float)
-        hi = np.asarray(self.bounds_hi, dtype=float)
-        if np.any(p < lo) or np.any(p > hi):
+        xyz = tuple(p.tolist())
+        if self._outside(*xyz):
             return False
         if self._tree is None:
             return True
-        if np.linalg.norm(p - self.start) < self.start_escape_radius:
+        if _norm_below(xyz, self._start, self.start_escape_radius):
             return True
         dist, _ = self._tree.query(p)
         return bool(dist > self.clearance)
 
     def edge_valid(self, a: np.ndarray, b: np.ndarray, step: float = 0.5) -> bool:
         """Whether the straight segment between ``a`` and ``b`` is collision-free."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        length = float(np.linalg.norm(b - a))
-        n_samples = max(2, int(np.ceil(length / step)) + 1)
-        ts = np.linspace(0.0, 1.0, n_samples)
-        samples = a[None, :] + ts[:, None] * (b - a)[None, :]
-        lo = np.asarray(self.bounds_lo, dtype=float)
-        hi = np.asarray(self.bounds_hi, dtype=float)
-        if np.any(samples < lo[None, :]) or np.any(samples > hi[None, :]):
-            return False
+        ax, ay, az = np.asarray(a, dtype=float).tolist()
+        bx, by, bz = np.asarray(b, dtype=float).tolist()
+        n_samples = _edge_sample_count((ax, ay, az), (bx, by, bz), step)
+        # Sample i is a + t_i * (b - a), the broadcast's exact operations.
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        samples = []
+        for t in _unit_steps(n_samples):
+            x, y, z = ax + t * dx, ay + t * dy, az + t * dz
+            if self._outside(x, y, z):
+                return False
+            samples.append((x, y, z))
         if self._tree is None:
             return True
-        dists, _ = self._tree.query(samples)
+        points = np.array(samples)
+        dists, _ = self._tree.query(points)
+        clearance = self.clearance
+        if all(dist > clearance for dist in dists.tolist()):
+            return True
         near_start = (
-            np.linalg.norm(samples - self.start[None, :], axis=1) < self.start_escape_radius
+            np.linalg.norm(points - self.start[None, :], axis=1) < self.start_escape_radius
         )
-        return bool(np.all((dists > self.clearance) | near_start))
+        return bool(np.all((dists > clearance) | near_start))
 
 
 @dataclass
@@ -97,6 +174,89 @@ class PlannerResult:
             return 0.0
         pts = np.asarray(self.path)
         return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
+
+
+#: Per-process memo of planner results, keyed by :func:`_plan_key`.  Cleared
+#: with the golden-prefix caches it serves (``reset_checkpoint_caches``).
+_PLAN_MEMO: "OrderedDict[str, PlannerResult]" = OrderedDict()
+_PLAN_MEMO_MAX = 64
+
+
+def reset_plan_memo() -> None:
+    """Forget every memoised planner result."""
+    _PLAN_MEMO.clear()
+
+
+def _plan_key(planner: "_TreePlannerBase", problem: PlanningProblem) -> str:
+    """SHA-1 over the planner class, its attributes and every problem field.
+
+    Values are hashed as dtype, shape and raw bytes, so NaN payloads and
+    ``-0.0`` stay distinct and a future attribute or field is keyed too.
+    """
+    digest = hashlib.sha1(
+        f"{type(planner).__module__}.{type(planner).__qualname__}".encode()
+    )
+    named = sorted(vars(planner).items()) + [
+        (f.name, getattr(problem, f.name)) for f in fields(problem)
+    ]
+    for name, value in named:
+        array = np.ascontiguousarray(value)
+        digest.update(f"|{name}|{array.dtype.str}|{array.shape}|".encode())
+        # An object array's bytes are pointers; hash its repr instead.
+        digest.update(repr(value).encode() if array.dtype.hasobject else array.tobytes())
+    return digest.hexdigest()
+
+
+def _memoised(
+    plan: Callable[["_TreePlannerBase", PlanningProblem], PlannerResult]
+) -> Callable[["_TreePlannerBase", PlanningProblem], PlannerResult]:
+    """Serve repeated ``plan`` calls from :data:`_PLAN_MEMO`.
+
+    The memo holds its own deep copy and every hit returns a fresh one, so
+    no caller can alias (and later mutate) a memoised path.
+    """
+
+    @functools.wraps(plan)
+    def memoised_plan(self: "_TreePlannerBase", problem: PlanningProblem) -> PlannerResult:
+        key = _plan_key(self, problem)
+        cached = _PLAN_MEMO.get(key)
+        if cached is not None:
+            _PLAN_MEMO.move_to_end(key)
+            return copy.deepcopy(cached)
+        result = plan(self, problem)
+        _PLAN_MEMO[key] = copy.deepcopy(result)
+        while len(_PLAN_MEMO) > _PLAN_MEMO_MAX:
+            _PLAN_MEMO.popitem(last=False)
+        return result
+
+    return memoised_plan
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """``rng.uniform()`` draws, fetched 256 at a time (the same PCG64 stream)."""
+    while True:
+        yield from rng.random(256).tolist()
+
+
+class _NodeArray:
+    """Tree vertices in a preallocated ``(capacity, 3)`` array."""
+
+    def __init__(self, first: np.ndarray, capacity: int) -> None:
+        self._buf = np.empty((capacity, 3))
+        self._buf[0] = first
+        self.size = 1
+
+    def append(self, point: np.ndarray) -> None:
+        self._buf[self.size] = point
+        self.size += 1
+
+    def distances(self, point: np.ndarray) -> np.ndarray:
+        """``np.linalg.norm(nodes - point, axis=1)``, spelt out."""
+        diff = self._buf[: self.size] - point[None, :]
+        return np.sqrt(np.add.reduce(diff * diff, axis=1))
+
+    def nearest(self, point: np.ndarray) -> int:
+        return int(np.argmin(self.distances(point)))
 
 
 class _TreePlannerBase:
@@ -119,26 +279,30 @@ class _TreePlannerBase:
         self.seed = int(seed)
 
     # ------------------------------------------------------------ primitives
-    def _sample(
-        self, rng: np.random.Generator, problem: PlanningProblem
-    ) -> np.ndarray:
-        if rng.uniform() < self.goal_bias:
-            return problem.goal.copy()
-        lo = np.asarray(problem.bounds_lo, dtype=float)
-        hi = np.asarray(problem.bounds_hi, dtype=float)
-        return rng.uniform(lo, hi)
+    def _targets(self, problem: PlanningProblem) -> Iterator[np.ndarray]:
+        """Sampling targets: the goal with probability ``goal_bias``, else a
+        uniform point in bounds -- ``rng.uniform() < goal_bias`` then
+        ``rng.uniform(lo, hi)`` per target, bit for bit."""
+        draws = _uniforms(np.random.default_rng(self.seed))
+        lo = problem._lo
+        span = tuple(h - l for l, h in zip(lo, problem._hi))
+        while True:
+            if next(draws) < self.goal_bias:
+                yield problem.goal.copy()
+            else:
+                yield np.array([
+                    lo[0] + span[0] * next(draws),
+                    lo[1] + span[1] * next(draws),
+                    lo[2] + span[2] * next(draws),
+                ])
 
     def _steer(self, from_point: np.ndarray, to_point: np.ndarray) -> np.ndarray:
         delta = to_point - from_point
-        dist = float(np.linalg.norm(delta))
+        # np.linalg.norm of a 1-D array, minus its argument handling.
+        dist = math.sqrt(delta.dot(delta))
         if dist <= self.step_size:
             return to_point.copy()
         return from_point + delta * (self.step_size / dist)
-
-    @staticmethod
-    def _nearest(nodes: np.ndarray, point: np.ndarray) -> int:
-        dists = np.linalg.norm(nodes - point[None, :], axis=1)
-        return int(np.argmin(dists))
 
     @staticmethod
     def _extract_path(nodes: List[np.ndarray], parents: List[int], leaf: int) -> List[np.ndarray]:
@@ -159,20 +323,22 @@ class RRTPlanner(_TreePlannerBase):
 
     name = "rrt"
 
+    @_memoised
     def plan(self, problem: PlanningProblem) -> PlannerResult:
-        """Grow a tree from the start until the goal region is reached."""
-        rng = np.random.default_rng(self.seed)
-        if not problem.state_valid(problem.start):
-            # The vehicle may legitimately be closer to an obstacle than the
-            # planner clearance; planning from an invalid start is allowed as
-            # long as the rest of the path is clear.
-            pass
+        """Grow a tree from the start until the goal region is reached.
+
+        The start itself may violate the clearance (the vehicle can be closer
+        to an obstacle than the planner clearance); only the rest of the path
+        has to be clear.
+        """
+        targets = self._targets(problem)
+        goal = tuple(problem.goal.tolist())
         nodes: List[np.ndarray] = [problem.start.copy()]
         parents: List[int] = [-1]
-        node_array = np.array([problem.start])
+        node_array = _NodeArray(problem.start, self.max_iterations + 1)
         for iteration in range(1, self.max_iterations + 1):
-            target = self._sample(rng, problem)
-            nearest_idx = self._nearest(node_array, target)
+            target = next(targets)
+            nearest_idx = node_array.nearest(target)
             new_point = self._steer(nodes[nearest_idx], target)
             if not problem.state_valid(new_point):
                 continue
@@ -180,8 +346,8 @@ class RRTPlanner(_TreePlannerBase):
                 continue
             nodes.append(new_point)
             parents.append(nearest_idx)
-            node_array = np.vstack([node_array, new_point[None, :]])
-            if np.linalg.norm(new_point - problem.goal) <= self.goal_tolerance:
+            node_array.append(new_point)
+            if _norm_below(tuple(new_point.tolist()), goal, self.goal_tolerance, inclusive=True):
                 if problem.edge_valid(new_point, problem.goal):
                     nodes.append(problem.goal.copy())
                     parents.append(len(nodes) - 2)
@@ -220,29 +386,34 @@ class RRTStarPlanner(_TreePlannerBase):
         self.rewire_radius = float(rewire_radius)
         self.goal_extra_iterations = int(goal_extra_iterations)
 
+    @_memoised
     def plan(self, problem: PlanningProblem) -> PlannerResult:
         """Grow and rewire a tree; return the best goal-reaching path found.
 
         Once the goal region has been reached, the planner keeps refining for
         ``goal_extra_iterations`` more samples (closing in on the shortest
-        path) and then stops, rather than always exhausting the full budget.
+        path) and then stops, rather than always exhausting the full budget;
+        ``iterations`` reports the passes actually made.
         """
-        rng = np.random.default_rng(self.seed)
+        targets = self._targets(problem)
+        goal = tuple(problem.goal.tolist())
         nodes: List[np.ndarray] = [problem.start.copy()]
         parents: List[int] = [-1]
         costs: List[float] = [0.0]
-        node_array = np.array([problem.start])
+        node_array = _NodeArray(problem.start, self.max_iterations + 1)
         goal_nodes: List[int] = []
         first_goal_iteration: Optional[int] = None
+        iterations = self.max_iterations
 
         for iteration in range(1, self.max_iterations + 1):
             if (
                 first_goal_iteration is not None
                 and iteration - first_goal_iteration > self.goal_extra_iterations
             ):
+                iterations = iteration - 1
                 break
-            target = self._sample(rng, problem)
-            nearest_idx = self._nearest(node_array, target)
+            target = next(targets)
+            nearest_idx = node_array.nearest(target)
             new_point = self._steer(nodes[nearest_idx], target)
             if not problem.state_valid(new_point):
                 continue
@@ -250,30 +421,31 @@ class RRTStarPlanner(_TreePlannerBase):
                 continue
 
             # Choose the lowest-cost parent within the rewire radius.
-            dists = np.linalg.norm(node_array - new_point[None, :], axis=1)
-            neighbor_idx = np.where(dists <= self.rewire_radius)[0]
+            dist_array = node_array.distances(new_point)
+            neighbors = np.flatnonzero(dist_array <= self.rewire_radius).tolist()
+            dists = dist_array.tolist()
             best_parent = nearest_idx
-            best_cost = costs[nearest_idx] + float(dists[nearest_idx])
-            for idx in neighbor_idx:
-                candidate_cost = costs[idx] + float(dists[idx])
+            best_cost = costs[nearest_idx] + dists[nearest_idx]
+            for idx in neighbors:
+                candidate_cost = costs[idx] + dists[idx]
                 if candidate_cost < best_cost and problem.edge_valid(nodes[idx], new_point):
-                    best_parent = int(idx)
+                    best_parent = idx
                     best_cost = candidate_cost
 
             nodes.append(new_point)
             parents.append(best_parent)
             costs.append(best_cost)
             new_idx = len(nodes) - 1
-            node_array = np.vstack([node_array, new_point[None, :]])
+            node_array.append(new_point)
 
             # Rewire neighbours through the new node when that is cheaper.
-            for idx in neighbor_idx:
-                rewired_cost = best_cost + float(dists[idx])
+            for idx in neighbors:
+                rewired_cost = best_cost + dists[idx]
                 if rewired_cost < costs[idx] and problem.edge_valid(new_point, nodes[idx]):
                     parents[idx] = new_idx
                     costs[idx] = rewired_cost
 
-            if np.linalg.norm(new_point - problem.goal) <= self.goal_tolerance:
+            if _norm_below(tuple(new_point.tolist()), goal, self.goal_tolerance, inclusive=True):
                 goal_nodes.append(new_idx)
                 if first_goal_iteration is None:
                     first_goal_iteration = iteration
@@ -285,13 +457,13 @@ class RRTStarPlanner(_TreePlannerBase):
             return PlannerResult(
                 success=True,
                 path=path,
-                iterations=self.max_iterations,
+                iterations=iterations,
                 tree_size=len(nodes),
                 planner_name=self.name,
             )
         return PlannerResult(
             success=False,
-            iterations=self.max_iterations,
+            iterations=iterations,
             tree_size=len(nodes),
             planner_name=self.name,
         )
@@ -302,18 +474,28 @@ class RRTConnectPlanner(_TreePlannerBase):
 
     name = "rrt_connect"
 
+    @_memoised
     def plan(self, problem: PlanningProblem) -> PlannerResult:
         """Alternate extending a start tree and a goal tree until they connect."""
-        rng = np.random.default_rng(self.seed)
+        targets = self._targets(problem)
+        connect_radius = self.step_size * 1.5
+        capacity = self.max_iterations + 1
         trees = [
-            {"nodes": [problem.start.copy()], "parents": [-1]},
-            {"nodes": [problem.goal.copy()], "parents": [-1]},
+            {
+                "nodes": [problem.start.copy()],
+                "parents": [-1],
+                "array": _NodeArray(problem.start, capacity),
+            },
+            {
+                "nodes": [problem.goal.copy()],
+                "parents": [-1],
+                "array": _NodeArray(problem.goal, capacity),
+            },
         ]
         for iteration in range(1, self.max_iterations + 1):
             active, other = trees[iteration % 2], trees[(iteration + 1) % 2]
-            target = self._sample(rng, problem)
-            active_array = np.asarray(active["nodes"])
-            nearest_idx = self._nearest(active_array, target)
+            target = next(targets)
+            nearest_idx = active["array"].nearest(target)
             new_point = self._steer(active["nodes"][nearest_idx], target)
             if not problem.state_valid(new_point):
                 continue
@@ -321,15 +503,16 @@ class RRTConnectPlanner(_TreePlannerBase):
                 continue
             active["nodes"].append(new_point)
             active["parents"].append(nearest_idx)
+            active["array"].append(new_point)
 
             # Try to connect the other tree directly to the new point.
-            other_array = np.asarray(other["nodes"])
-            other_nearest = self._nearest(other_array, new_point)
-            if np.linalg.norm(
-                other["nodes"][other_nearest] - new_point
-            ) <= self.step_size * 1.5 and problem.edge_valid(
-                other["nodes"][other_nearest], new_point
-            ):
+            other_nearest = other["array"].nearest(new_point)
+            if _norm_below(
+                tuple(other["nodes"][other_nearest].tolist()),
+                tuple(new_point.tolist()),
+                connect_radius,
+                inclusive=True,
+            ) and problem.edge_valid(other["nodes"][other_nearest], new_point):
                 path_active = self._extract_path(
                     active["nodes"], active["parents"], len(active["nodes"]) - 1
                 )
