@@ -1,26 +1,30 @@
-"""Campaign execution engine: picklable run specs and pluggable executors.
+"""Campaign execution engine: picklable run specs and one dispatch loop.
 
 The paper's evaluation campaigns run hundreds of independent missions per
 environment.  Each mission is described here by a :class:`RunSpec` -- a small,
 picklable record of *what* to fly (environment, seeds, planner, platform),
 *which* fault to inject (an optional :class:`~repro.core.injector.FaultPlan`)
 and *which* detection scheme to attach (a detector tag, not a live object, so
-that specs can cross process boundaries).  Executors turn lists of specs into
-:class:`~repro.pipeline.runner.MissionResult` streams:
+that specs can cross process boundaries).
 
-* :class:`SerialExecutor` -- runs specs in order in the calling process; the
-  default and the reference for determinism.
-* :class:`ParallelExecutor` -- fans specs out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`; worker count comes from
-  the ``MAVFI_WORKERS`` environment variable (or the constructor), specs are
-  submitted in chunks, and detectors are reconstructed once per worker process
-  from the spec's campaign configuration, so nothing unpicklable is ever
-  shipped to a worker.
+Executors turn spec lists into :class:`~repro.pipeline.runner.MissionResult`
+streams through one loop, :func:`dispatch`, which walks tasks (one prefix
+group or one spec each) through one of two launchers:
 
-Because every mission is fully seeded, the two executors produce bit-identical
-result streams for the same spec list; :func:`execute_specs` additionally
-persists results to a JSONL store as they arrive and skips specs whose
-deterministic key is already present (resume-from-partial-campaign).
+* the **inline launcher** runs each task in the calling process and returns a
+  finished future; :class:`SerialExecutor`, the one-worker clamp of
+  :class:`ParallelExecutor` and degraded pool runs use it;
+* the **pool launcher** is a :class:`~concurrent.futures.ProcessPoolExecutor`
+  fed whole prefix groups, costliest first, one per worker at a time.
+  Workers reconstruct detectors from the campaign configuration, so nothing
+  unpicklable is ever shipped.
+
+Without a resilience policy the loop kills the launcher on the first
+exception and re-raises it.  With one, :mod:`repro.core.resilience` captures
+and retries failures, the loop quarantines hangs and rebuilds a broken pool,
+and once the respawn budget is spent it swaps in the inline launcher.  Every
+mission is fully seeded, so every path yields bit-identical results;
+:func:`execute_specs` adds JSONL persistence and resume by spec key.
 """
 
 from __future__ import annotations
@@ -32,12 +36,14 @@ import os
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Executor,
+    Future,
     ProcessPoolExecutor,
-    as_completed,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -65,7 +71,6 @@ from repro.core.resilience import (
     attribute_lost_task,
     guarded_execute,
     hang_failure,
-    run_spec_resilient,
 )
 from repro.pipeline.builder import (
     PipelineConfig,
@@ -77,6 +82,7 @@ from repro.scenarios import Scenario, resolve_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.campaign import CampaignConfig
+    from repro.core.checkpoint import CheckpointStats
     from repro.core.results import JsonlResultStore
 
 #: Detector tags a :class:`RunSpec` may carry.  ``gaussian`` and
@@ -140,8 +146,8 @@ class RunSpec:
         their fault-activation times: same pipeline, seed, scenario, detector
         and timing -- only the fault plan (and the setting label) may differ.
         The golden-prefix checkpoint engine keys its cursors on this, and the
-        execution engine groups spec batches by it so workers receive
-        cache-friendly chunks.
+        execution engine groups spec batches by it so workers receive whole
+        cache-friendly groups.
         """
         return hashlib.sha1(
             repr(self.prefix_canonical()).encode("utf-8")
@@ -350,80 +356,61 @@ def execute_spec(
     return result
 
 
-#: One scheduled unit of parallel work: the (position, spec) pairs of one or
-#: more whole prefix groups, each optionally accompanied by a serialized
-#: golden-prefix cursor snapshot (spawn-platform warm-up; ``None`` on fork
-#: platforms, where cursors are inherited copy-on-write instead).
+#: One unit of work: the (position, spec) pairs of a whole prefix group, or
+#: of one spec, plus an optional serialized golden-prefix cursor snapshot
+#: (spawn-platform warm-up; forked workers inherit cursors instead).
 GroupTask = Tuple[Sequence[Tuple[int, "RunSpec"]], Optional[bytes]]
 
+#: What one task hands back: ``(position, status, result)`` entries (status
+#: ``"ok"``/``"failed"``/``"hang"``), the failure records its attempts
+#: produced, and the pool worker's checkpoint-statistics delta.
+TaskOutcome = Tuple[List[Tuple[int, str, Optional[MissionResult]]], List[FailureRecord], Dict]
 
-def _execute_group_task(
-    groups: Sequence[GroupTask],
-) -> Tuple[List[Tuple[int, MissionResult]], Dict]:
-    """Worker entry point: run whole prefix groups, report the stats delta.
 
-    Returns the (position, result) pairs plus the checkpoint-statistics delta
-    this task produced, so the parent can aggregate fleet-wide counters --
-    in particular ``duplicate_cursor_builds``, the scheduler's zero-duplicates
-    invariant -- without double-counting fork-inherited state or earlier
-    tasks on the same worker process.
+def _run_task(
+    pairs: Sequence[Tuple[int, RunSpec]],
+    blob: Optional[bytes],
+    policy: Optional[ResiliencePolicy],
+    schedule: Optional[ChaosSchedule],
+    bases: Dict[str, int],
+    detectors: Optional[Mapping[str, object]],
+    in_worker: bool,
+) -> TaskOutcome:
+    """Run one task's specs: the entry point of both launchers.
+
+    With a ``policy`` every spec goes through
+    :func:`~repro.core.resilience.guarded_execute`, continuing from the
+    attempts ``bases`` records for requeued keys; without one,
+    :func:`execute_spec` runs bare and exceptions propagate.  Failure events
+    ride back with the outcome, so the parent stays the only writer.  Only a
+    pool worker (``in_worker``) reports a checkpoint-statistics delta -- this
+    task's work, without fork-inherited counts; inline work is already in
+    the parent's own delta.
     """
     from repro.core import checkpoint
 
-    before = checkpoint.checkpoint_stats().raw_dict()
-    out: List[Tuple[int, MissionResult]] = []
-    for pairs, blob in groups:
-        if blob is not None and checkpoint.checkpointing_enabled():
-            checkpoint.manager().seed_snapshot(blob)
-        for pos, spec in pairs:
-            out.append((pos, execute_spec(spec)))
-    delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
-    return out, delta
+    before = checkpoint.checkpoint_stats().raw_dict() if in_worker else None
+    if blob is not None and checkpoint.checkpointing_enabled():
+        checkpoint.manager().seed_snapshot(blob)
+    entries: List[Tuple[int, str, Optional[MissionResult]]] = []
+    events: List[FailureRecord] = []
+    for pos, spec in pairs:
+        if policy is None:
+            entries.append((pos, "ok", execute_spec(spec, detectors)))
+            continue
+        status, result, _ = guarded_execute(
+            spec, detectors, policy, schedule, bases.get(spec.key(), 0),
+            events.append, in_worker=in_worker,
+        )
+        entries.append((pos, status, result))
+    delta: Dict = {}
+    if before is not None:
+        delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
+    return entries, events, delta
 
 
 class _WatchdogTimeout(Exception):
     """Internal: a pool task overran the resilience policy's wall-clock budget."""
-
-
-def _execute_group_task_resilient(
-    groups: Sequence[GroupTask],
-    policy: ResiliencePolicy,
-    schedule: Optional[ChaosSchedule],
-    bases: Dict[str, int],
-) -> Tuple[List[Tuple[int, str, Optional[MissionResult]]], List[FailureRecord], Dict]:
-    """Worker entry point under a resilience policy.
-
-    Like :func:`_execute_group_task`, but every spec goes through the
-    capture/retry ladder: the return carries ``(position, status, result)``
-    triples (status ``"ok"``/``"failed"``/``"hang"``) plus the failure
-    records the attempts produced.  Failure events ride back with the task
-    result rather than being persisted worker-side, so the parent remains
-    the only writer; a task lost to a crash or watchdog kill loses them too,
-    and the parent reconstructs them via
-    :func:`repro.core.resilience.attribute_lost_task`.  ``bases`` maps spec
-    keys to already-consumed attempt counts (requeues after a crash).
-    """
-    from repro.core import checkpoint
-
-    before = checkpoint.checkpoint_stats().raw_dict()
-    entries: List[Tuple[int, str, Optional[MissionResult]]] = []
-    events: List[FailureRecord] = []
-    for pairs, blob in groups:
-        if blob is not None and checkpoint.checkpointing_enabled():
-            checkpoint.manager().seed_snapshot(blob)
-        for pos, spec in pairs:
-            status, result, _ = guarded_execute(
-                spec,
-                None,
-                policy,
-                schedule,
-                bases.get(spec.key(), 0),
-                events.append,
-                in_worker=True,
-            )
-            entries.append((pos, status, result))
-    delta = checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before)
-    return entries, events, delta
 
 
 def _init_worker(payload: Optional[Dict]) -> None:
@@ -570,13 +557,227 @@ def resolve_worker_count(workers: Optional[int]) -> int:
     return workers
 
 
+# ------------------------------------------------------------- dispatch loop
+class _InlineLauncher(Executor):
+    """Launcher whose ``submit`` runs the task here and returns it finished."""
+
+    def submit(self, fn, /, *args, **kwargs):  # type: ignore[override]
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # handed to the dispatch loop via the future
+            future.set_exception(exc)
+        return future
+
+
+def _kill_launcher(launcher: Executor) -> None:
+    """Stop a launcher without waiting on the tasks it is running.
+
+    ``shutdown(cancel_futures=True)`` alone never stops *running* pool
+    workers -- a hung task would wedge it forever -- so the worker processes
+    are killed and reaped first.  An inline launcher has none.
+    """
+    processes = list((getattr(launcher, "_processes", None) or {}).values())
+    for proc in processes:
+        proc.kill()
+    for proc in processes:
+        proc.join()
+    launcher.shutdown(wait=False, cancel_futures=True)
+
+
+def dispatch(
+    specs: Sequence[RunSpec],
+    policy: Optional[ResiliencePolicy],
+    schedule: Optional[ChaosSchedule] = None,
+    detectors: Optional[Mapping[str, object]] = None,
+    on_result: Optional[ResultCallback] = None,
+    on_failure: Optional[FailureCallback] = None,
+    tasks: Optional[Iterable[GroupTask]] = None,
+    launch: Callable[[], Executor] = _InlineLauncher,
+    workers: int = 1,
+    stats: Optional["CheckpointStats"] = None,
+) -> List[Optional[MissionResult]]:
+    """Run ``tasks`` through a launcher; returns results in ``specs`` order.
+
+    ``tasks`` defaults to one task per spec in the given order, and
+    ``launch`` to the inline launcher.  At most ``workers`` tasks are in
+    flight (one inline), so the watchdog times running tasks, not queue
+    time, and a failing batch stops early.  Outcomes are harvested in
+    submission order, a task's failure events before its results.  Only
+    inline tasks see ``detectors``; pool workers reconstruct their own.
+    Pool workers' checkpoint-statistics deltas are merged into ``stats``.
+
+    Without a ``policy`` the first exception kills the launcher and is
+    re-raised.  With one, failures reach ``on_failure`` once per identity
+    and failed or quarantined specs yield ``None``:
+
+    * a hang (watchdog overrun or cooperative chaos hang) is a strike, and
+      ``quarantine_strikes`` strikes quarantine the spec.  A struck spec is
+      requeued alone -- at the front inline, so its strikes stay consecutive;
+    * a broken or overrunning pool is killed and rebuilt.  Lost tasks are
+      attributed via :func:`~repro.core.resilience.attribute_lost_task` or
+      the singleton-suspect rule, and only unfinished specs are requeued,
+      one per task, so the next overrun isolates its culprit;
+    * after ``max_pool_respawns`` rebuilds the inline launcher takes over.
+      Chaos crashes and hangs are simulated cooperatively there, so chaos
+      campaigns converge; a *genuine* hang would stall the parent (raise
+      ``REPRO_POOL_RESPAWNS`` if that is a live risk).  Deltas of lost tasks
+      die with their pool, so statistics are best-effort here.
+    """
+    import time  # harness watchdog only; sim time stays on the middleware clock
+
+    results: List[Optional[MissionResult]] = [None] * len(specs)
+    if tasks is None:
+        tasks = [([(pos, spec)], None) for pos, spec in enumerate(specs)]
+    pending: Deque[GroupTask] = deque(tasks)
+    attempts: Dict[str, int] = {}
+    strikes: Dict[str, int] = {}
+    quarantined: Set[str] = set()
+    emitted: Set[Tuple[str, int, str, str]] = set()
+    inline = True
+
+    def emit(record: FailureRecord) -> None:
+        # Requeued work can re-derive an event a prior incarnation already
+        # produced; the identity dedup keeps the shard single-voiced.
+        identity = record.identity()
+        if identity in emitted:
+            return
+        emitted.add(identity)
+        if on_failure is not None:
+            on_failure(record)
+
+    def hang_strike(spec: RunSpec) -> bool:
+        """Record one hang strike; True when the spec is now quarantined."""
+        assert policy is not None  # hangs only arise under a policy
+        key = spec.key()
+        if key in quarantined:
+            return True
+        strikes[key] = strikes.get(key, 0) + 1
+        final = strikes[key] >= policy.quarantine_strikes
+        emit(hang_failure(
+            spec, strikes[key],
+            OUTCOME_QUARANTINED if final else OUTCOME_RETRIED,
+        ))
+        if final:
+            quarantined.add(key)
+        return final
+
+    def requeue(pos: int, spec: RunSpec, base: int) -> None:
+        attempts[spec.key()] = base
+        task: GroupTask = ([(pos, spec)], None)
+        if inline:
+            pending.appendleft(task)
+        else:
+            pending.append(task)
+
+    def harvest(outcome: TaskOutcome) -> None:
+        entries, events, delta = outcome
+        if stats is not None:
+            stats.merge(delta)
+        for record in events:
+            emit(record)
+        for pos, status, result in entries:
+            spec = specs[pos]
+            if status == "ok":
+                results[pos] = result
+                if on_result is not None and result is not None:
+                    on_result(spec, result)
+            elif status == "hang" and not hang_strike(spec):
+                requeue(pos, spec, attempts.get(spec.key(), 0))
+            # "failed": every attempt's record already rode in events.
+
+    respawns = 0
+    while pending:
+        launcher = launch()
+        inline = isinstance(launcher, _InlineLauncher)
+        in_flight: Dict[Future, Tuple[Sequence[Tuple[int, RunSpec]], Optional[float]]] = {}
+        try:
+            while pending or in_flight:
+                while pending and len(in_flight) < (1 if inline else workers):
+                    pairs, blob = pending.popleft()
+                    pairs = [(pos, spec) for pos, spec in pairs if spec.key() not in quarantined]
+                    if not pairs:
+                        continue
+                    bases = {
+                        spec.key(): attempts[spec.key()]
+                        for _, spec in pairs
+                        if spec.key() in attempts
+                    }
+                    future = launcher.submit(
+                        _run_task, pairs, blob, policy, schedule, bases,
+                        detectors if inline else None, not inline,
+                    )
+                    deadline = None
+                    if policy is not None and policy.task_timeout is not None:
+                        # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+                        deadline = time.monotonic() + policy.task_timeout
+                    in_flight[future] = (pairs, deadline)
+                if not in_flight:
+                    break
+                deadlines = [d for _, d in in_flight.values() if d is not None]
+                timeout = None
+                if deadlines:
+                    # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+                    timeout = max(0.0, min(deadlines) - time.monotonic())
+                done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+                for future in [f for f in in_flight if f in done]:
+                    # Harvest before dropping the bookkeeping: .result()
+                    # raises BrokenProcessPool when a worker died, and the
+                    # task must still be in in_flight for the attribution
+                    # pass below to see (and requeue) it.
+                    harvest(future.result())
+                    del in_flight[future]
+                # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+                if not done and deadlines and min(deadlines) <= time.monotonic():
+                    raise _WatchdogTimeout()
+        except BaseException as failure:
+            _kill_launcher(launcher)
+            if policy is None or not isinstance(failure, (BrokenProcessPool, _WatchdogTimeout)):
+                raise
+            respawns += 1
+            if respawns > policy.max_pool_respawns:
+                launch = _InlineLauncher
+            timed_out = isinstance(failure, _WatchdogTimeout)
+            # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
+            now = time.monotonic()
+            for future, (pairs, deadline) in in_flight.items():
+                if future.done() and not future.cancelled() and future.exception() is None:
+                    # Completed between the failure and the kill; its
+                    # results are real -- harvest, don't re-run.
+                    harvest(future.result())
+                    continue
+                dispositions = attribute_lost_task(
+                    pairs, policy, schedule, attempts, emit, crashed=not timed_out,
+                )
+                expired = timed_out and deadline is not None and now >= deadline
+                culprit = any(kind != "requeue" for kind, _, _, _ in dispositions)
+                for kind, pos, spec, base in dispositions:
+                    key = spec.key()
+                    if kind == "hang":
+                        if not hang_strike(spec):
+                            requeue(pos, spec, attempts.get(key, 0))
+                    elif kind == "exhausted":
+                        attempts[key] = base
+                    elif kind == "crash-requeue":
+                        requeue(pos, spec, base)
+                    else:  # innocent requeue
+                        # Singleton suspect: this task alone overran the
+                        # watchdog and chaos explains nothing -- treat it as
+                        # a genuine hang strike, which may quarantine it.
+                        suspect = expired and not culprit and len(dispositions) == 1
+                        if not (suspect and hang_strike(spec)):
+                            requeue(pos, spec, base)
+        else:
+            launcher.shutdown()
+    return results
+
+
 # ------------------------------------------------------------------ executors
 class SerialExecutor:
     """Runs specs one after another in the calling process (the default)."""
 
     name = "serial"
     distributed = False
-    supports_resilience = True
 
     def map(
         self,
@@ -593,43 +794,26 @@ class SerialExecutor:
         each spec goes through the capture/retry/quarantine ladder
         (:mod:`repro.core.resilience`); failed or quarantined specs yield
         ``None`` entries and their :class:`FailureRecord`\\ s flow through
-        ``on_failure``.  This executor is the determinism reference the
-        parallel resilient path must match record for record.
+        ``on_failure``, each spec's before its result.  This executor is the
+        determinism reference the parallel path must match record for record.
         """
-        results: List[Optional[MissionResult]] = []
-        if policy is not None:
-            schedule = ChaosSchedule.from_knobs()
-            emit = on_failure if on_failure is not None else (lambda record: None)
-            for spec in specs:
-                result = run_spec_resilient(spec, detectors, policy, schedule, emit)
-                if result is not None and on_result is not None:
-                    on_result(spec, result)
-                results.append(result)
-            return results
-        for spec in specs:
-            result = execute_spec(spec, detectors)
-            if on_result is not None:
-                on_result(spec, result)
-            results.append(result)
-        return results
+        schedule = ChaosSchedule.from_knobs() if policy is not None else None
+        return dispatch(list(specs), policy, schedule, detectors, on_result, on_failure)
 
 
 class ParallelExecutor:
     """Fans whole prefix groups out over a process pool.
 
     ``workers`` follows :func:`resolve_worker_count` semantics (``None`` reads
-    ``MAVFI_WORKERS``).  The scheduling atom is a *prefix group* -- every spec
-    sharing one :meth:`RunSpec.prefix_key` -- so a golden-prefix cursor is
-    built exactly once per group, never once per chunk boundary; ``chunk_size``
-    is the number of whole groups riding in one pool task (default 1).  Tasks
-    are submitted in descending estimated-cost order (longest processing time
-    first) and the pool hands them to whichever worker frees up, so straggler
-    rebalancing -- work-stealing of whole groups -- falls out of the queue
-    discipline.
+    ``MAVFI_WORKERS``).  Each pool task carries one whole *prefix group* --
+    every spec sharing one :meth:`RunSpec.prefix_key` -- so a golden-prefix
+    cursor is built exactly once per group.  Tasks go out costliest first
+    (LPT), one per worker at a time, so whichever worker frees up takes the
+    next group: work-stealing of whole groups falls out of the queue.
 
     The effective worker count is clamped to ``os.cpu_count()`` unless
-    ``oversubscribe`` (or ``MAVFI_OVERSUBSCRIBE=1``) lifts the clamp; when the
-    clamp leaves one worker, the batch runs serially in-process -- parallel
+    ``oversubscribe`` (or ``MAVFI_OVERSUBSCRIBE=1``) lifts the clamp; one
+    remaining worker means the inline launcher, in cache order -- parallel
     dispatch never loses to serial by oversubscribing cores.
 
     Workers start warm: on ``fork`` platforms the parent pre-generates worlds,
@@ -650,38 +834,31 @@ class ParallelExecutor:
 
     name = "parallel"
     distributed = True
-    supports_resilience = True
 
     def __init__(
         self,
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         oversubscribe: Optional[bool] = None,
         start_method: Optional[str] = None,
     ) -> None:
         self.workers = env_worker_count() if workers is None else resolve_worker_count(workers)
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-        self.chunk_size = chunk_size
         self.oversubscribe = (
             oversubscription_allowed() if oversubscribe is None else bool(oversubscribe)
         )
         self.start_method = start_method
-        #: Workers actually used by the last :meth:`map` (1 = serial fallback).
+        #: Workers actually used by the last :meth:`map` (1 = inline).
         self.last_effective_workers = 0
         #: Fleet-wide checkpoint statistics of the last :meth:`map`.
-        self.last_checkpoint_stats = None
+        self.last_checkpoint_stats: Optional["CheckpointStats"] = None
 
     def _group_tasks(self, specs: Sequence[RunSpec]) -> List[List[List[Tuple[int, RunSpec]]]]:
-        """Whole-prefix-group pool tasks, costliest first (LPT order).
+        """Pool tasks of one whole prefix group each, costliest first (LPT).
 
-        Original positions ride along so the result stream is returned in
-        submission order regardless of completion order.
+        Original positions ride along, so results return in spec order.
         """
         groups = prefix_groups(list(enumerate(specs)))
         groups.sort(key=estimate_group_cost, reverse=True)
-        size = self.chunk_size or 1
-        return [groups[i : i + size] for i in range(0, len(groups), size)]
+        return [[group] for group in groups]
 
     def _effective_workers(self, specs: Sequence[RunSpec]) -> int:
         workers = min(self.workers, max(1, len(specs)))
@@ -689,44 +866,12 @@ class ParallelExecutor:
             workers = min(workers, os.cpu_count() or 1)
         return workers
 
-    def _warm_fork_state(
-        self, specs: Sequence[RunSpec], tasks: Sequence[Sequence[Sequence[Tuple[int, RunSpec]]]]
-    ) -> None:
-        """Warm parent-process caches for copy-on-write inheritance (fork).
+    def _warm_caches(self, specs: Sequence[RunSpec]) -> Dict:
+        """Generate every spec's world and reconstruct its detectors here.
 
-        Worlds and detectors are warmed for every spec; golden cursors are
-        pre-built for the costliest groups up to the manager's LRU capacity
-        (tasks arrive LPT-ordered, so the first groups are the expensive
-        ones).  Each escape hatch disables its own layer: ``REPRO_NO_CACHE``
-        the world/detector warm-up, ``REPRO_NO_CHECKPOINT`` the cursors.
-        """
-        from repro.core import checkpoint
-        from repro.pipeline import builder
-
-        if construction_caches_enabled():
-            for spec in specs:
-                key = builder.world_key_for(pipeline_config_for(spec))
-                if key is not None:
-                    builder.world_for(*key)
-            for spec in specs:
-                if spec.detector in RECONSTRUCTIBLE_DETECTORS:
-                    _reconstruct_detector(spec)
-        if checkpoint.checkpointing_enabled():
-            budget = checkpoint.manager().max_cursors
-            groups = [group for task in tasks for group in task]
-            for group in groups[:budget]:
-                spec = group[0][1]
-                if not checkpoint.supports_spec(spec):
-                    continue
-                detector = _resolve_detector(spec, None)
-                checkpoint.manager().prebuild(spec, detector)
-
-    def _spawn_payload(self, specs: Sequence[RunSpec]) -> Dict:
-        """Construction state shipped to spawn-started workers.
-
-        Worlds are generated once in the parent and pickled to every worker;
-        detectors named by the specs are reconstructed (trained or loaded)
-        once and shipped the same way.  Empty when ``REPRO_NO_CACHE`` is set.
+        Fork children inherit the warm caches copy-on-write; the returned
+        payload ships them to spawn-started workers through the pool
+        initializer.  Empty, and a no-op, under ``REPRO_NO_CACHE``.
         """
         from repro.pipeline import builder
 
@@ -742,6 +887,21 @@ class ParallelExecutor:
                 _reconstruct_detector(spec)
         payload["detectors"] = dict(_PROCESS_DETECTORS)
         return payload
+
+    def _prebuild_cursors(self, groups: Sequence[Sequence[Tuple[int, RunSpec]]]) -> None:
+        """Pre-build golden cursors for fork children to inherit.
+
+        Only the costliest groups (they arrive first) up to the manager's LRU
+        capacity are built; ``REPRO_NO_CHECKPOINT`` disables the warm-up.
+        """
+        from repro.core import checkpoint
+
+        if not checkpoint.checkpointing_enabled():
+            return
+        for group in groups[: checkpoint.manager().max_cursors]:
+            spec = group[0][1]
+            if checkpoint.supports_spec(spec):
+                checkpoint.manager().prebuild(spec, _resolve_detector(spec, None))
 
     def _group_snapshot(self, pairs: Sequence[Tuple[int, RunSpec]]) -> Optional[bytes]:
         """Serialized golden-prefix cursor for one group (spawn warm-up).
@@ -775,20 +935,14 @@ class ParallelExecutor:
 
         ``on_result`` fires as results arrive (completion order); the returned
         list is always in submission order, bit-identical to the serial path.
-
-        With a ``policy``, dispatch is resilient: mission exceptions become
-        retried/persisted :class:`FailureRecord`\\ s instead of dead pools, a
-        wall-clock watchdog bounds each pool task, hanging specs are
-        quarantined after ``quarantine_strikes``, and a broken pool is
-        rebuilt up to ``max_pool_respawns`` times (only unfinished work is
-        requeued) before the batch degrades to in-process serial execution.
-        Failed/quarantined specs yield ``None`` entries.
+        Without a ``policy`` the first mission exception kills the pool and
+        propagates; with one, :func:`dispatch`'s resilience ladder applies
+        and failed/quarantined specs yield ``None`` entries.
         """
         from repro.core import checkpoint
 
-        # Reset per-map telemetry up front: a misuse error below or an early
-        # serial fallback must not leave stale stats from the previous map()
-        # visible to callers.
+        # Reset per-map telemetry up front: a misuse error below must not
+        # leave stale stats from the previous map() visible to callers.
         self.last_effective_workers = 0
         self.last_checkpoint_stats = None
         specs = list(specs)
@@ -806,333 +960,50 @@ class ParallelExecutor:
                 f"objects that cannot be reconstructed in worker processes; "
                 f"use the serial executor for custom detectors"
             )
-        workers = self._effective_workers(specs)
-        if workers <= 1 or len(specs) <= 1:
-            return self._serial_fallback(specs, on_result, detectors, policy, on_failure)
+        parent_before = checkpoint.checkpoint_stats().raw_dict()
         # Scenario names resolve through the parent's registry; workers may
         # not have custom registrations, so ship resolved Scenario objects.
         specs = [materialize_scenario(spec) for spec in specs]
-        tasks = self._group_tasks(specs)
-        workers = min(workers, len(tasks))
+        groups = [group for [group] in self._group_tasks(specs)]
+        workers = min(self._effective_workers(specs), len(groups) or 1)
+        tasks: List[GroupTask]
+        launch: Callable[[], Executor]
         if workers <= 1:
-            return self._serial_fallback(specs, on_result, detectors, policy, on_failure)
-        self.last_effective_workers = workers
-
-        ctx = multiprocessing.get_context(self.start_method)
-        parent_before = checkpoint.checkpoint_stats().raw_dict()
-        if ctx.get_start_method() == "fork":
-            self._warm_fork_state(specs, tasks)
-            payload = None
-            shipped = [[(pairs, None) for pairs in task] for task in tasks]
+            # One spec per inline task, in cache order: each group's cursor
+            # still serves the whole group in one monotonic pass.
+            order = sorted(enumerate(specs), key=lambda pair: cache_order_key(pair[1]))
+            tasks = [([pair], None) for pair in order]
+            launch = _InlineLauncher
         else:
-            payload = self._spawn_payload(specs)
-            shipped = [
-                [(pairs, self._group_snapshot(pairs)) for pairs in task]
-                for task in tasks
-            ]
-        if policy is not None:
-            return self._resilient_pool_map(
-                specs, shipped, workers, ctx, payload,
-                on_result, on_failure, policy, parent_before,
-            )
-        stats = checkpoint.CheckpointStats()
-        results: List[Optional[MissionResult]] = [None] * len(specs)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=ctx,
-            initializer=_init_worker,
-            initargs=(payload,),
-        ) as pool:
-            futures = [pool.submit(_execute_group_task, task) for task in shipped]
-            for future in as_completed(futures):
-                task_results, delta = future.result()
-                stats.merge(delta)
-                for pos, result in task_results:
-                    results[pos] = result
-                    if on_result is not None:
-                        on_result(specs[pos], result)
-        # Fold in what the parent itself did (fork warm-up cursor builds), so
-        # duplicate accounting spans the whole fleet, parent included.
-        stats.merge(
-            checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), parent_before)
-        )
-        self.last_checkpoint_stats = stats
-        return list(results)
-
-    @staticmethod
-    def _kill_pool(pool: ProcessPoolExecutor) -> None:
-        """Terminate a broken/overrunning pool without waiting on it.
-
-        ``shutdown(cancel_futures=True)`` alone never kills *running* workers
-        -- a hung task would wedge the shutdown forever -- so the worker
-        processes are terminated directly first.
-        """
-        processes = getattr(pool, "_processes", None) or {}
-        for proc in list(processes.values()):
-            try:
-                proc.terminate()
-            except OSError:
-                continue
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _resilient_pool_map(
-        self,
-        specs: Sequence[RunSpec],
-        shipped: Sequence[List[GroupTask]],
-        workers: int,
-        ctx,
-        payload: Optional[Dict],
-        on_result: Optional[ResultCallback],
-        on_failure: Optional[FailureCallback],
-        policy: ResiliencePolicy,
-        parent_before: Dict,
-    ) -> List[Optional[MissionResult]]:
-        """Pool dispatch with the capture/retry/quarantine/degrade ladder.
-
-        Submission is windowed (at most ``workers`` futures in flight) so the
-        per-task wall-clock watchdog measures *running* tasks, not queue
-        time.  On ``BrokenProcessPool`` or a watchdog overrun the pool is
-        killed and rebuilt, lost in-flight work is reconstructed via
-        :func:`~repro.core.resilience.attribute_lost_task` (chaos faults) or
-        the singleton-suspect heuristic (genuine timeouts), and only
-        unfinished specs are requeued -- as singleton tasks, so the next
-        overrun isolates its culprit.  After ``max_pool_respawns`` rebuilds
-        the remaining work degrades to in-process serial execution (chaos
-        faults are then simulated cooperatively, so degradation always
-        terminates; a *genuine* hang in degraded mode would stall the parent
-        -- raise ``REPRO_POOL_RESPAWNS`` if that is a live risk).
-
-        Checkpoint statistics are best-effort under resilience: deltas of
-        lost tasks die with their pool and are not re-counted on requeue.
-        """
-        import time  # harness watchdog only; sim time stays on the middleware clock
-
-        from repro.core import checkpoint
-
-        schedule = ChaosSchedule.from_knobs()
-        stats = checkpoint.CheckpointStats()
-        results: List[Optional[MissionResult]] = [None] * len(specs)
-        attempts: Dict[str, int] = {}
-        strikes: Dict[str, int] = {}
-        quarantined: Set[str] = set()
-        emitted: Set[Tuple[str, int, str, str]] = set()
-
-        def emit(record: FailureRecord) -> None:
-            # Requeued work can re-derive an event a prior incarnation already
-            # produced; the identity dedup keeps the shard single-voiced.
-            identity = record.identity()
-            if identity in emitted:
-                return
-            emitted.add(identity)
-            if on_failure is not None:
-                on_failure(record)
-
-        def hang_strike(spec: RunSpec) -> bool:
-            """Record one hang strike; True when the spec is now quarantined."""
-            key = spec.key()
-            if key in quarantined:
-                return True
-            strikes[key] = strikes.get(key, 0) + 1
-            final = strikes[key] >= policy.quarantine_strikes
-            emit(hang_failure(
-                spec, strikes[key],
-                OUTCOME_QUARANTINED if final else OUTCOME_RETRIED,
-            ))
-            if final:
-                quarantined.add(key)
-            return final
-
-        def requeue(pos: int, spec: RunSpec, base: int) -> None:
-            attempts[spec.key()] = base
-            pending.append(([([(pos, spec)], None)], {spec.key(): base}))
-
-        def live_task(task: List[GroupTask]) -> List[GroupTask]:
-            kept: List[GroupTask] = []
-            for pairs, blob in task:
-                alive = [(pos, spec) for pos, spec in pairs if spec.key() not in quarantined]
-                if alive:
-                    kept.append((alive, blob))
-            return kept
-
-        def harvest(value: Tuple) -> None:
-            entries, events, delta = value
-            stats.merge(delta)
-            for record in events:
-                emit(record)
-            for pos, status, result in entries:
-                if status == "ok" and result is not None:
-                    results[pos] = result
-                    if on_result is not None:
-                        on_result(specs[pos], result)
-                elif status == "hang":
-                    # Cooperative hang report (no watchdog configured, or the
-                    # sleep outlived it); same ladder as a watchdog kill.
-                    spec = specs[pos]
-                    if not hang_strike(spec):
-                        requeue(pos, spec, attempts.get(spec.key(), 0))
-                # "failed": every attempt's record already rode in events.
-
-        pending: Deque[Tuple[List[GroupTask], Dict[str, int]]] = deque(
-            (list(task), {}) for task in shipped
-        )
-        respawns = 0
-        degraded = False
-        while pending:
-            if respawns > policy.max_pool_respawns:
-                degraded = True
-                break
-            pool = ProcessPoolExecutor(
+            ctx = multiprocessing.get_context(self.start_method)
+            payload: Optional[Dict] = self._warm_caches(specs)
+            if ctx.get_start_method() == "fork":
+                payload = None  # children inherit the warm caches instead
+                self._prebuild_cursors(groups)
+                tasks = [(group, None) for group in groups]
+            else:
+                tasks = [(group, self._group_snapshot(group)) for group in groups]
+            launch = partial(
+                ProcessPoolExecutor,
                 max_workers=workers,
                 mp_context=ctx,
                 initializer=_init_worker,
                 initargs=(payload,),
             )
-            in_flight: Dict = {}
-            try:
-                while pending or in_flight:
-                    while pending and len(in_flight) < workers:
-                        task, bases = pending.popleft()
-                        task = live_task(task)
-                        if not task:
-                            continue
-                        future = pool.submit(
-                            _execute_group_task_resilient,
-                            task, policy, schedule, bases,
-                        )
-                        deadline = None
-                        if policy.task_timeout is not None:
-                            # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                            deadline = time.monotonic() + policy.task_timeout
-                        in_flight[future] = (task, bases, deadline)
-                    if not in_flight:
-                        break
-                    deadlines = [d for (_, _, d) in in_flight.values() if d is not None]
-                    timeout = None
-                    if deadlines:
-                        # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                        timeout = max(0.0, min(deadlines) - time.monotonic())
-                    done, _ = wait(set(in_flight), timeout=timeout, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        # Harvest before dropping the bookkeeping: .result()
-                        # raises BrokenProcessPool when a worker died, and the
-                        # task must still be in in_flight for the attribution
-                        # pass below to see (and requeue) it.
-                        harvest(future.result())
-                        in_flight.pop(future)
-                    if not done and deadlines:
-                        # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                        now = time.monotonic()
-                        if any(d is not None and now >= d for (_, _, d) in in_flight.values()):
-                            raise _WatchdogTimeout()
-            except (BrokenProcessPool, _WatchdogTimeout) as failure:
-                respawns += 1
-                self._kill_pool(pool)
-                timed_out = isinstance(failure, _WatchdogTimeout)
-                # repro-lint: disable=RL002 harness watchdog deadline, not simulated time
-                now = time.monotonic()
-                for future, (task, bases, deadline) in list(in_flight.items()):
-                    if future.done() and future.exception() is None:
-                        # Completed between the failure and the kill; its
-                        # results are real -- harvest, don't re-run.
-                        harvest(future.result())
-                        continue
-                    pairs = [(pos, spec) for group, _ in task for pos, spec in group]
-                    dispositions = attribute_lost_task(
-                        pairs, policy, schedule, attempts, emit,
-                        crashed=not timed_out,
-                    )
-                    expired = timed_out and deadline is not None and now >= deadline
-                    culprit = any(kind != "requeue" for kind, _, _, _ in dispositions)
-                    for kind, pos, spec, base in dispositions:
-                        key = spec.key()
-                        if kind == "hang":
-                            if not hang_strike(spec):
-                                requeue(pos, spec, attempts.get(key, 0))
-                        elif kind == "exhausted":
-                            attempts[key] = base
-                        elif kind == "crash-requeue":
-                            requeue(pos, spec, base)
-                        else:  # innocent requeue
-                            if expired and not culprit and len(dispositions) == 1:
-                                # Singleton suspect: this task alone overran
-                                # the watchdog and chaos explains nothing --
-                                # treat it as a genuine hang strike.
-                                if hang_strike(spec):
-                                    continue
-                            requeue(pos, spec, base)
-                in_flight.clear()
-            else:
-                pool.shutdown()
-                break
-        if degraded and pending:
-            # Graceful degradation: finish the remaining work in-process.
-            # Chaos crashes/hangs are simulated cooperatively here, so a
-            # chaos-ridden campaign always converges.
-            for task, bases in pending:
-                for pairs, _blob in live_task(task):
-                    for pos, spec in pairs:
-                        key = spec.key()
-                        if schedule is not None and schedule.hangs(key):
-                            while not hang_strike(spec):
-                                pass
-                            continue
-                        status, result, _ = guarded_execute(
-                            spec, None, policy, schedule,
-                            attempts.get(key, bases.get(key, 0)),
-                            emit, in_worker=False,
-                        )
-                        if status == "ok" and result is not None:
-                            results[pos] = result
-                            if on_result is not None:
-                                on_result(specs[pos], result)
-            pending.clear()
+        stats = checkpoint.CheckpointStats()
+        schedule = ChaosSchedule.from_knobs() if policy is not None else None
+        results = dispatch(
+            specs, policy, schedule, detectors, on_result, on_failure,
+            tasks, launch, workers, stats,
+        )
+        # Fold in what the parent itself did (inline tasks, fork warm-up
+        # cursor builds), so duplicate accounting spans the whole fleet.
         stats.merge(
             checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), parent_before)
         )
+        self.last_effective_workers = workers
         self.last_checkpoint_stats = stats
-        return list(results)
-
-    def _serial_fallback(
-        self,
-        specs: Sequence[RunSpec],
-        on_result: Optional[ResultCallback],
-        detectors: Optional[Mapping[str, object]],
-        policy: Optional[ResiliencePolicy] = None,
-        on_failure: Optional[FailureCallback] = None,
-    ) -> List[Optional[MissionResult]]:
-        """Run in-process (clamped to one worker) with full stats accounting.
-
-        Specs execute in cache-friendly order -- the same per-group monotonic
-        order the pool path uses -- so the fallback keeps the zero
-        duplicate-cursor-builds invariant; results come back in submission
-        order, and ``on_result`` fires in execution order like the pool's
-        completion-order callbacks.  With a ``policy`` the specs go through
-        the same serial resilience ladder as :class:`SerialExecutor`.
-        """
-        from repro.core import checkpoint
-
-        before = checkpoint.checkpoint_stats().raw_dict()
-        order = sorted(range(len(specs)), key=lambda i: cache_order_key(specs[i]))
-        results: List[Optional[MissionResult]] = [None] * len(specs)
-        if policy is not None:
-            schedule = ChaosSchedule.from_knobs()
-            emit = on_failure if on_failure is not None else (lambda record: None)
-            for i in order:
-                result = run_spec_resilient(specs[i], detectors, policy, schedule, emit)
-                results[i] = result
-                if result is not None and on_result is not None:
-                    on_result(specs[i], result)
-        else:
-            for i in order:
-                result = execute_spec(specs[i], detectors)
-                results[i] = result
-                if on_result is not None:
-                    on_result(specs[i], result)
-        stats = checkpoint.CheckpointStats()
-        stats.merge(checkpoint.diff_raw(checkpoint.checkpoint_stats().raw_dict(), before))
-        self.last_checkpoint_stats = stats
-        self.last_effective_workers = 1
-        return list(results)
+        return results
 
 
 def get_executor(workers: Optional[int] = None):
@@ -1225,16 +1096,13 @@ def execute_specs(
         if on_failure is not None:
             on_failure(record_obj)
 
-    if policy is not None and getattr(executor, "supports_resilience", False):
-        fresh = executor.map(
-            pending,
-            on_result=record,
-            detectors=detectors,
-            policy=policy,
-            on_failure=capture,
-        )
-    else:
-        fresh = executor.map(pending, on_result=record, detectors=detectors)
+    fresh = executor.map(
+        pending,
+        on_result=record,
+        detectors=detectors,
+        policy=policy,
+        on_failure=capture,
+    )
     for spec, result in zip(pending, fresh):
         if result is not None:
             known[spec.key()] = result

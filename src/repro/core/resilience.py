@@ -22,9 +22,9 @@ assumed existed:
   bit-identical surviving results vs a clean run.
 
 The capture -> retry -> quarantine -> degrade ladder lives here; the
-executors (:mod:`repro.core.executor`) thread it through their dispatch
-paths, and :class:`~repro.core.results.JsonlResultStore` persists the
-failure records next to the mission results they explain.
+executor's one dispatch loop (:func:`repro.core.executor.dispatch`) threads
+it through every run, and :class:`~repro.core.results.JsonlResultStore`
+persists the failure records next to the mission results they explain.
 """
 
 from __future__ import annotations
@@ -415,22 +415,14 @@ def run_spec_resilient(
     schedule: Optional[ChaosSchedule],
     emit: FailureCallback,
 ) -> Optional[object]:
-    """Serial-reference resilient execution of one spec (hang ladder included).
+    """Resilient in-process execution of one spec via the dispatch loop.
 
-    A hanging spec walks the full quarantine ladder immediately (strike
-    records 1..quarantine_strikes, the last marked ``quarantined``) -- the
-    exact record sequence the parallel executor accumulates across watchdog
-    kills -- and yields no result.
+    A hanging spec walks the full quarantine ladder (strikes
+    1..quarantine_strikes, the last ``quarantined``) and yields no result.
     """
-    if schedule is not None and schedule.hangs(spec.key()):
-        for strike in range(1, policy.quarantine_strikes + 1):
-            last = strike == policy.quarantine_strikes
-            emit(hang_failure(spec, strike, OUTCOME_QUARANTINED if last else OUTCOME_RETRIED))
-        return None
-    _, result, _ = guarded_execute(
-        spec, detectors, policy, schedule, 0, emit, in_worker=False
-    )
-    return result
+    from repro.core.executor import dispatch
+
+    return dispatch([spec], policy, schedule, detectors, on_failure=emit)[0]
 
 
 # ------------------------------------------------- lost-pool-task attribution

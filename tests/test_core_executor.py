@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 
 import pytest
 
+from repro.core import executor as executor_module
 from repro.core.campaign import Campaign, CampaignConfig, RunSetting
 from repro.core.executor import (
     DETECTOR_GAUSSIAN,
@@ -122,10 +124,6 @@ class TestWorkerCounts:
         assert isinstance(executor, ParallelExecutor)
         assert executor.workers == 2
 
-    def test_parallel_chunk_size_validation(self):
-        with pytest.raises(ValueError):
-            ParallelExecutor(workers=2, chunk_size=0)
-
 
 class TestSerialParallelEquivalence:
     def test_identical_result_streams(self):
@@ -158,10 +156,40 @@ class TestSerialParallelEquivalence:
         seen = []
         campaign.run_specs(
             specs,
-            executor=ParallelExecutor(workers=2, chunk_size=1),
+            executor=ParallelExecutor(workers=2),
             on_result=lambda spec, result: seen.append(spec.key()),
         )
         assert sorted(seen) == sorted(spec.key() for spec in specs)
+
+
+class MissionExploded(RuntimeError):
+    """Raised by the fail-fast test's stand-in for ``execute_spec``."""
+
+
+class TestFailFast:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the stand-in execute_spec reaches workers by fork inheritance",
+    )
+    def test_pool_stops_on_first_exception(self, monkeypatch, tmp_path):
+        """Without a policy the first raising mission kills the pool: the
+        rest of the batch never flies and no worker outlives the call."""
+        ran = tmp_path / "ran.txt"
+
+        def exploding(spec, detectors=None):
+            with open(ran, "a") as handle:
+                handle.write(spec.key() + "\n")
+            raise MissionExploded(spec.key())
+
+        monkeypatch.setattr(executor_module, "execute_spec", exploding)
+        campaign = _fast_campaign(num_golden=10)
+        specs = campaign.golden_specs()
+        assert len(specs) >= 8
+        executor = ParallelExecutor(workers=2, oversubscribe=True, start_method="fork")
+        with pytest.raises(MissionExploded):
+            executor.map(specs)
+        assert len(ran.read_text().split()) < len(specs)
+        assert multiprocessing.active_children() == []
 
 
 class TestPrefixAffinityScheduling:
@@ -215,9 +243,6 @@ class TestPrefixAffinityScheduling:
         assert all(len(task) == 1 for task in tasks)
         costs = [estimate_group_cost(task[0]) for task in tasks]
         assert costs == sorted(costs, reverse=True)
-        chunked = ParallelExecutor(workers=2, chunk_size=2)._group_tasks(specs)
-        assert all(len(task) <= 2 for task in chunked)
-        assert sum(len(task) for task in chunked) == len(tasks)
 
     def test_estimate_group_cost_scales_with_suffix_work(self):
         campaign = _fast_campaign(num_golden=1, num_injections_per_stage=1)
@@ -264,6 +289,22 @@ class TestPrefixAffinityScheduling:
         # the fleet, and every prefix accounted for exactly once.
         assert stats.duplicate_cursor_builds == 0
         assert set(stats.built_prefixes) == {s.prefix_key() for s in specs}
+
+    def test_clamped_inline_stats_count_once(self, monkeypatch):
+        """Inline tasks report no delta of their own: the parent's delta
+        already covers them, so nothing is counted twice."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        campaign = _fast_campaign(num_golden=2, num_injections_per_stage=1)
+        specs = _small_specs(campaign)
+        executor = ParallelExecutor(workers=4, oversubscribe=False)
+        campaign.run_specs(specs, executor=executor)
+        stats = executor.last_checkpoint_stats
+        assert stats is not None
+        assert executor.last_effective_workers == 1
+        injections = sum(1 for s in specs if s.fault_plan is not None)
+        assert stats.forks == injections
+        assert stats.golden_served == len(specs) - injections
+        assert stats.duplicate_cursor_builds == 0
 
     def test_spawn_workers_adopt_snapshots(self):
         """Spawn-started workers restore shipped cursor snapshots instead of
