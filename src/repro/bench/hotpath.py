@@ -26,12 +26,13 @@ from repro.bench.harness import (
 from repro.bench.scalar_ref import (
     ScalarCollisionChecker,
     ScalarOccupancyMap,
+    reference_ray_cast,
     scalar_aad_errors,
     scalar_gad_scores,
     scalar_point_cloud,
     scalar_sign_exponent,
 )
-from repro.bench.workloads import HotpathWorkload, build_workload
+from repro.bench.workloads import HotpathWorkload, build_workload, sweep_camera
 from repro.core import knobs
 from repro.detection.preprocess import sign_exponent_transform
 from repro.perception.collision_check import CollisionChecker
@@ -54,6 +55,30 @@ def _bench_occupancy(workload: HotpathWorkload, repeats: int) -> Dict:
             occupancy.insert_point_cloud(cloud)
 
     calls = len(workload.clouds)
+    return kernel_entry(
+        time_callable(run_vector, repeats=repeats, calls_per_run=calls),
+        time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
+    )
+
+
+def _bench_ray_cast(workload: HotpathWorkload, repeats: int) -> Dict:
+    """Depth-camera ray casts: one slab pass per axis vs the 3-D broadcast."""
+    world = workload.world
+    camera = sweep_camera(world)
+    casts = [
+        (frame.camera_position, camera.world_directions(frame.camera_yaw))
+        for frame in workload.depth_frames
+    ]
+
+    def run_vector() -> None:
+        for origin, directions in casts:
+            world.ray_cast(origin, directions)
+
+    def run_scalar() -> None:
+        for origin, directions in casts:
+            reference_ray_cast(world, origin, directions)
+
+    calls = len(casts)
     return kernel_entry(
         time_callable(run_vector, repeats=repeats, calls_per_run=calls),
         time_callable(run_scalar, repeats=repeats, calls_per_run=calls),
@@ -200,6 +225,7 @@ def run_bench(
         "detector_gad_window": _bench_gad(workload, repeats),
         "detector_aad_window": _bench_aad(workload, repeats),
         "preprocess_transform": _bench_preprocess(workload, repeats),
+        "depth_ray_cast": _bench_ray_cast(workload, repeats),
     }
     report = {
         "schema": BENCH_SCHEMA,

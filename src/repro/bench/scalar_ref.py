@@ -19,11 +19,16 @@ The motion-planner references (:func:`reference_state_valid`,
 shape the planners had before their hot path was rewritten in scalar Python
 and their results memoised; the equivalence tests require byte-equal paths
 and identical validity verdicts.
+
+The depth-camera reference (:func:`reference_ray_cast`) keeps the
+``(n_rays, n_boxes, 3)`` broadcast slab test that ``World.ray_cast`` had
+before it became one pass per axis; its equivalence tests require byte-equal
+hit distances.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,6 +39,7 @@ from repro.perception.collision_check import CollisionCheckConfig
 from repro.perception.occupancy import ScalarOccupancyMap  # noqa: F401  (re-export)
 from repro.planning.rrt import PlannerResult, PlanningProblem
 from repro.rosmw.message import DepthImageMsg
+from repro.sim.world import World
 
 
 def scalar_point_cloud(
@@ -179,6 +185,56 @@ def scalar_sign_exponent(values: np.ndarray) -> np.ndarray:
     """Value-by-value reference of :func:`~repro.detection.preprocess.sign_exponent_transform`."""
     flat = np.asarray(values, dtype=float).reshape(-1)
     return np.array([sign_exponent_int16(v) for v in flat], dtype=np.int64)
+
+
+# ------------------------------------------------------------- ray casting
+def reference_ray_cast(
+    world: World,
+    origin: Union[Sequence[float], np.ndarray],
+    directions: np.ndarray,
+    max_range: float = 25.0,
+) -> np.ndarray:
+    """Reference of :meth:`~repro.sim.world.World.ray_cast` (one 3-D broadcast).
+
+    The slab test broadcast to ``(n_rays, n_boxes, 3)`` and reduced over the
+    axis dimension, as the depth camera cast before its per-axis rewrite.  The
+    equivalence tests require byte-equal distances.
+    """
+    origin = np.asarray(origin, dtype=float)
+    directions = np.asarray(directions, dtype=float)
+    if directions.ndim != 2 or directions.shape[1] != 3:
+        raise ValueError(f"directions must have shape (N, 3), got {directions.shape}")
+    n_rays = directions.shape[0]
+    hits = np.full(n_rays, np.inf)
+
+    if world.num_obstacles > 0:
+        # Slab test, broadcast to (n_rays, n_boxes, 3).
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv_d = 1.0 / directions  # inf where direction component is 0
+        with np.errstate(invalid="ignore", over="ignore"):
+            t1 = (world._lo[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
+            t2 = (world._hi[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
+        tmin = np.minimum(t1, t2)
+        tmax = np.maximum(t1, t2)
+        # A zero direction component against a slab not containing the
+        # origin yields (inf, -inf) or (nan); treat nan as no constraint.
+        tmin = np.where(np.isnan(tmin), -np.inf, tmin)
+        tmax = np.where(np.isnan(tmax), np.inf, tmax)
+        t_enter = tmin.max(axis=2)
+        t_exit = tmax.min(axis=2)
+        valid = (t_exit >= np.maximum(t_enter, 0.0)) & (t_enter <= max_range)
+        t_enter = np.where(valid, np.maximum(t_enter, 0.0), np.inf)
+        hits = t_enter.min(axis=1)
+
+    # Ground plane.
+    ground_z = world.bounds_lo[2]
+    dz = directions[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_ground = (ground_z - origin[2]) / dz
+    t_ground = np.where((dz < 0) & (t_ground > 0), t_ground, np.inf)
+    hits = np.minimum(hits, t_ground)
+    hits = np.where(hits <= max_range, hits, np.inf)
+    return hits
 
 
 # ------------------------------------------------------------------ planning

@@ -41,10 +41,15 @@ class HotpathWorkload:
     description: Dict = field(default_factory=dict)
 
 
+def sweep_camera(world: World) -> DepthCamera:
+    """The 96x72 depth camera the bench sweep captures its frames with."""
+    return DepthCamera(world, CameraConfig(width=96, height=72))
+
+
 def _camera_sweep(world: World, n_frames: int, seed: int) -> List[DepthImageMsg]:
     """Depth frames captured along a seeded sweep through the world."""
     rng = np.random.default_rng(seed)
-    camera = DepthCamera(world, CameraConfig(width=96, height=72))
+    camera = sweep_camera(world)
     frames = []
     for index in range(n_frames):
         position = np.array(

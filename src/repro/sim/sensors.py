@@ -61,14 +61,18 @@ class DepthCamera:
         directions = np.stack([x, y, z], axis=-1)  # (H, W, 3), body frame
         return directions
 
-    def capture(self, state: QuadrotorState) -> DepthImageMsg:
-        """Capture a depth image from the vehicle's current pose."""
-        cfg = self.config
-        cos_yaw, sin_yaw = np.cos(state.yaw), np.sin(state.yaw)
+    def world_directions(self, yaw: float) -> np.ndarray:
+        """The ``(N, 3)`` per-pixel ray directions, rotated to ``yaw``."""
+        cos_yaw, sin_yaw = np.cos(yaw), np.sin(yaw)
         rotation = np.array(
             [[cos_yaw, -sin_yaw, 0.0], [sin_yaw, cos_yaw, 0.0], [0.0, 0.0, 1.0]]
         )
-        world_dirs = self._body_dirs @ rotation.T
+        return self._body_dirs @ rotation.T
+
+    def capture(self, state: QuadrotorState) -> DepthImageMsg:
+        """Capture a depth image from the vehicle's current pose."""
+        cfg = self.config
+        world_dirs = self.world_directions(state.yaw)
         origin = state.position + np.array([0.0, 0.0, cfg.mount_height])
         depths = self.world.ray_cast(origin, world_dirs, max_range=cfg.max_range)
         depth_image = depths.reshape(cfg.height, cfg.width)

@@ -16,6 +16,7 @@ All queries are vectorised over obstacles with numpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -31,6 +32,8 @@ class Cuboid:
     name: str = "obstacle"
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (*self.lo, *self.hi)):
+            raise ValueError(f"cuboid has a non-finite corner: lo={self.lo}, hi={self.hi}")
         if any(h < l for l, h in zip(self.lo, self.hi)):
             raise ValueError(f"cuboid has hi < lo: lo={self.lo}, hi={self.hi}")
 
@@ -192,8 +195,9 @@ class World:
 
         Returns an array of ``N`` hit distances; rays that hit nothing within
         ``max_range`` get ``inf``.  Uses the slab method vectorised over both
-        rays and obstacles.  The ground plane at ``z = bounds_lo[2]`` is also
-        intersected so that the depth camera sees the floor.
+        rays and obstacles: one (rays × boxes) pass per axis.  The ground
+        plane at ``z = bounds_lo[2]`` is also intersected so that the depth
+        camera sees the floor.
         """
         origin = np.asarray(origin, dtype=float)
         directions = np.asarray(directions, dtype=float)
@@ -203,20 +207,26 @@ class World:
         hits = np.full(n_rays, np.inf)
 
         if self.num_obstacles > 0:
-            # Slab test, broadcast to (n_rays, n_boxes, 3).
+            # Slab test: one (n_rays, n_boxes) pass per axis, folded into the
+            # entry/exit distances.  No (n_rays, n_boxes, 3) temporary: numpy
+            # reduces a length-3 inner axis slowly.
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 inv_d = 1.0 / directions  # inf where direction component is 0
-            with np.errstate(invalid="ignore", over="ignore"):
-                t1 = (self._lo[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
-                t2 = (self._hi[None, :, :] - origin[None, None, :]) * inv_d[:, None, :]
-            tmin = np.minimum(t1, t2)
-            tmax = np.maximum(t1, t2)
-            # A zero direction component against a slab not containing the
-            # origin yields (inf, -inf) or (nan); treat nan as no constraint.
-            tmin = np.where(np.isnan(tmin), -np.inf, tmin)
-            tmax = np.where(np.isnan(tmax), np.inf, tmax)
-            t_enter = tmin.max(axis=2)
-            t_exit = tmax.min(axis=2)
+                for k in range(3):
+                    t1 = (self._lo[:, k] - origin[k]) * inv_d[:, k, None]
+                    t2 = (self._hi[:, k] - origin[k]) * inv_d[:, k, None]
+                    tmin = np.minimum(t1, t2)
+                    tmax = np.maximum(t1, t2, out=t1)
+                    # A zero direction component against a slab not containing
+                    # the origin yields (inf, -inf) or (nan); treat nan as no
+                    # constraint.
+                    tmin[np.isnan(tmin)] = -np.inf
+                    tmax[np.isnan(tmax)] = np.inf
+                    if k == 0:
+                        t_enter, t_exit = tmin, tmax
+                    else:
+                        np.maximum(t_enter, tmin, out=t_enter)
+                        np.minimum(t_exit, tmax, out=t_exit)
             valid = (t_exit >= np.maximum(t_enter, 0.0)) & (t_enter <= max_range)
             t_enter = np.where(valid, np.maximum(t_enter, 0.0), np.inf)
             hits = t_enter.min(axis=1)

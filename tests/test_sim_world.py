@@ -28,6 +28,22 @@ class TestCuboid:
         with pytest.raises(ValueError):
             Cuboid(lo=(1, 0, 0), hi=(0, 1, 1))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("corner", ["lo", "hi"])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_corner_rejected(self, bad, corner, axis):
+        corners = {"lo": [0.0, 0.0, 0.0], "hi": [1.0, 1.0, 1.0]}
+        corners[corner][axis] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            Cuboid(lo=tuple(corners["lo"]), hi=tuple(corners["hi"]))
+
+    def test_all_nan_corners_rejected(self):
+        nan = float("nan")
+        with pytest.raises(ValueError, match="non-finite"):
+            Cuboid(lo=(nan, nan, nan), hi=(nan, nan, nan))
+        with pytest.raises(ValueError, match="non-finite"):
+            Cuboid.from_center((nan, 0.0, 0.0), (1.0, 1.0, 1.0))
+
 
 class TestCollisionQueries:
     def test_point_collides(self, simple_world):
@@ -102,6 +118,21 @@ class TestRayCast:
         assert depths.shape == (3,)
         assert depths[0] == pytest.approx(8.0)
         assert np.isinf(depths[1])
+        assert np.isinf(depths[2])
+
+    @pytest.mark.parametrize("face_y", [2.0, -2.0])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (1.0, -0.0, 0.0)])
+    def test_grazing_a_face_plane_hits_the_closed_box(self, simple_world, face_y, direction):
+        """The box is closed: a ray running along its y face hits it."""
+        depths = simple_world.ray_cast((0.0, face_y, 3.0), np.array([direction]))
+        assert depths[0] == 8.0
+
+    @pytest.mark.parametrize("face_y", [2.0, -2.0])
+    @pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (1.0, -0.0, 0.0)])
+    def test_one_ulp_outside_a_face_plane_misses(self, simple_world, face_y, direction):
+        outside = np.nextafter(face_y, 3.0 * face_y)
+        depths = simple_world.ray_cast((0.0, outside, 3.0), np.array([direction]))
+        assert np.isinf(depths[0])
 
     def test_bad_direction_shape_rejected(self, simple_world):
         with pytest.raises(ValueError):
