@@ -8,12 +8,15 @@ shared CI runner cannot flake this test.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.bench import format_bench_table, run_bench, validate_report, validate_report_file
 
 from conftest import print_artifact
+
+COMMITTED_REPORT = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 
 
 @pytest.mark.smoke
@@ -61,4 +64,27 @@ def test_malformed_reports_rejected(tmp_path):
     report = json.loads(out.read_text())
     report["kernels"]["occupancy_integration"]["vector"]["best_ms"] = float("nan")
     with pytest.raises(ValueError):
+        validate_report(report)
+
+
+def test_committed_report_validates():
+    """The committed perf-trajectory artifact passes the closed schema."""
+    report = validate_report_file(COMMITTED_REPORT)
+    assert report["kernels"]
+
+
+def test_bool_repeats_rejected():
+    """Regression: ``repeats: true`` used to pass as an integer count."""
+    report = json.loads(COMMITTED_REPORT.read_text())
+    report["repeats"] = True
+    with pytest.raises(ValueError, match="repeats must be an integer"):
+        validate_report(report)
+
+
+def test_undeclared_nested_key_is_rejected_by_path():
+    report = json.loads(COMMITTED_REPORT.read_text())
+    report["pipeline"]["per_kernel"]["collision_check"]["bogus"] = 1
+    with pytest.raises(
+        ValueError, match=r"pipeline\.per_kernel\.collision_check\.bogus must not be present"
+    ):
         validate_report(report)

@@ -41,6 +41,7 @@ from repro.analysis.detection_metrics import (
 )
 from repro.analysis.reporting import format_success_rate_table, format_table
 from repro.analysis.trajectory import analyze_trajectory
+from repro.core import schema
 from repro.core.overhead import KERNEL_STAGES, OverheadReport
 from repro.core.qof import (
     QofSummary,
@@ -655,299 +656,195 @@ def build_report(
 
 
 # ------------------------------------------------------------------- validator
+_COUNT = schema.Int()
+_OPTIONAL_NUMBER = schema.Number(nullable=True)
+
+
+def _stats(*names: str) -> schema.Object:
+    """A sorted-sample summary (``_sorted_stats`` and friends), or null."""
+    return schema.Object(
+        {"count": schema.Int(1), **dict.fromkeys(names, _OPTIONAL_NUMBER)}, nullable=True
+    )
+
+
+_SAMPLE_STATS = _stats("min", "max", "mean", "median")
+
+_GROUP = schema.Object(
+    {
+        **dict.fromkeys(("setting", "scenario", "environment", "detector"), schema.Str()),
+        "qof": schema.Object(
+            {
+                **dict.fromkeys(("num_runs", "num_success", "num_injected"), _COUNT),
+                "success_rate": schema.Number(0.0, 1.0),
+                **dict.fromkeys(
+                    ("mean_flight_time", "worst_flight_time", "best_flight_time",
+                     "mean_energy", "worst_energy"),
+                    _OPTIONAL_NUMBER,
+                ),
+                "fell_back_to_failures": schema.Bool(),
+            }
+        ),
+        "confidence": schema.Object(
+            rest=schema.Object(
+                {
+                    **dict.fromkeys(("value", "lower", "upper"), _OPTIONAL_NUMBER),
+                    "confidence": schema.Number(0.0, 1.0, exclusive=True),
+                    "samples": _COUNT,
+                }
+            )
+        ),
+        "flight_time_distribution": _stats("min", "q1", "median", "q3", "max", "mean"),
+        "trajectory": schema.Object(
+            {
+                **dict.fromkeys(("runs", "replans_total"), _COUNT),
+                **dict.fromkeys(
+                    ("path_length", "detour_ratio", "max_lateral_deviation"), _SAMPLE_STATS
+                ),
+            }
+        ),
+        "detection": schema.Object(
+            {
+                **dict.fromkeys(("checked_samples", "alarms", "runs_with_alarm"), _COUNT),
+                "alarms_by_stage": schema.Object(rest=_COUNT),
+                "first_alarm_time": _SAMPLE_STATS,
+            }
+        ),
+        "overhead": schema.Object(
+            {
+                "detector": schema.Str(),
+                "detection_fraction": schema.Object(rest=_OPTIONAL_NUMBER),
+                "recovery_fraction": schema.Object(rest=_OPTIONAL_NUMBER),
+                "total_overhead": _OPTIONAL_NUMBER,
+                "total_compute_time": _OPTIONAL_NUMBER,
+            },
+            nullable=True,
+        ),
+    }
+)
+
+_ACCURACY_ROW = schema.Object(
+    {
+        **dict.fromkeys(("environment", "scenario", "detector"), schema.Str()),
+        **dict.fromkeys(
+            ("golden_runs", "golden_runs_with_alarm", "golden_checked_samples",
+             "golden_alarms", "injected_runs", "injected_runs_with_alarm",
+             "injected_checked_samples"),
+            _COUNT,
+        ),
+        **dict.fromkeys(
+            ("run_fpr", "sample_fpr", "tpr", "precision", "mean_time_to_detect"),
+            _OPTIONAL_NUMBER,
+        ),
+        "per_stage": schema.Object(
+            rest=schema.Object(
+                {
+                    **dict.fromkeys(
+                        ("injected_runs", "detected_runs", "localized_runs"), _COUNT
+                    ),
+                    **dict.fromkeys(
+                        ("tpr", "localization_rate", "mean_time_to_detect"),
+                        _OPTIONAL_NUMBER,
+                    ),
+                }
+            )
+        ),
+    }
+)
+
+#: The declared shape of a ``repro-report-v1`` document.
+REPORT_SHAPE = schema.Object(
+    {
+        "schema": schema.OneOf((REPORT_SCHEMA,)),
+        **dict.fromkeys(("generator", "title"), schema.Str()),
+        "shards": schema.ListOf(schema.Str()),
+        "records": schema.Object(
+            dict.fromkeys(("total", "unique", "duplicates_dropped"), _COUNT)
+        ),
+        "bootstrap": schema.Object(
+            {
+                "confidence": schema.Number(0.0, 1.0, exclusive=True),
+                "resamples": schema.Int(1),
+                "seed": schema.Int(None),
+            }
+        ),
+        "groups": schema.ListOf(_GROUP),
+        "detection_accuracy": schema.ListOf(_ACCURACY_ROW),
+        "recovery": schema.ListOf(
+            schema.Object(
+                {
+                    **dict.fromkeys(
+                        ("environment", "scenario", "setting", "detector"), schema.Str()
+                    ),
+                    **dict.fromkeys(
+                        ("worst_case_recovery", "failure_recovery_rate"), _OPTIONAL_NUMBER
+                    ),
+                }
+            )
+        ),
+        "harness_failures": schema.Object(
+            {
+                **dict.fromkeys(
+                    ("total", "specs_quarantined", "specs_failed", "specs_recovered"),
+                    _COUNT,
+                ),
+                "rows": schema.ListOf(
+                    schema.Object(
+                        {
+                            **dict.fromkeys(("setting", "error_type", "outcome"), schema.Str()),
+                            "count": schema.Int(1),
+                        }
+                    )
+                ),
+            }
+        ),
+        "shard_health": schema.ListOf(
+            schema.Object(
+                {
+                    "path": schema.Str(),
+                    **dict.fromkeys(("intact", "failures", "torn", "corrupt"), _COUNT),
+                }
+            )
+        ),
+    }
+)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"invalid {REPORT_SCHEMA} report: {message}")
 
 
-def _check_optional_number(value, label: str) -> None:
-    if value is None:
-        return
-    _require(
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and math.isfinite(value),
-        f"{label} must be a finite number or null, got {value!r}",
-    )
-
-
-def _check_optional_stats(value, label: str) -> None:
-    """A sorted-sample summary object (``_sorted_stats`` and friends) or null."""
-    if value is None:
-        return
-    _require(isinstance(value, dict), f"{label} must be an object or null")
-    _require(
-        isinstance(value.get("count"), int) and value["count"] > 0,
-        f"{label}.count must be a positive integer",
-    )
-    for field_name, number in value.items():
-        if field_name == "count":
-            continue
-        _check_optional_number(number, f"{label}.{field_name}")
-
-
-def _check_stage_counter_map(value, label: str) -> None:
-    """A ``{stage: non-negative int}`` map (alarms_by_stage and friends)."""
-    _require(isinstance(value, dict), f"{label} must be an object")
-    for stage, count in value.items():
-        _require(isinstance(stage, str), f"{label} keys must be strings")
-        _require(
-            isinstance(count, int) and count >= 0,
-            f"{label}.{stage} must be a non-negative integer",
-        )
-
-
 def validate_report(report: Dict) -> None:
     """Validate a ``repro-report-v1`` dict; raises ``ValueError`` when malformed.
 
-    Mirrors the bench-report validators: schema marker, record accounting,
-    per-group QoF/confidence/detection shapes with finite-or-null numbers,
-    and the detection-accuracy and recovery row lists.
+    Checks :data:`REPORT_SHAPE`, then the cross-field invariants: record
+    accounting, sorted shards, successes within runs and the failure-row sum.
     """
-    _require(isinstance(report, dict), "report must be a JSON object")
-    _require(
-        report.get("schema") == REPORT_SCHEMA,
-        f"schema must be {REPORT_SCHEMA!r}, got {report.get('schema')!r}",
-    )
-    for field_name in ("generator", "title"):
-        _require(
-            isinstance(report.get(field_name), str),
-            f"'{field_name}' must be a string",
-        )
-    bootstrap = report.get("bootstrap")
-    _require(isinstance(bootstrap, dict), "missing 'bootstrap' settings object")
-    confidence_level = bootstrap.get("confidence")
-    _require(
-        isinstance(confidence_level, (int, float))
-        and 0.0 < float(confidence_level) < 1.0,
-        "bootstrap.confidence must be in (0, 1)",
-    )
-    _require(
-        isinstance(bootstrap.get("resamples"), int) and bootstrap["resamples"] > 0,
-        "bootstrap.resamples must be a positive integer",
-    )
-    _require(
-        isinstance(bootstrap.get("seed"), int),
-        "bootstrap.seed must be an integer",
-    )
-    records = report.get("records")
-    _require(isinstance(records, dict), "missing 'records' accounting object")
-    for field_name in ("total", "unique", "duplicates_dropped"):
-        value = records.get(field_name)
-        _require(
-            isinstance(value, int) and value >= 0,
-            f"records.{field_name} must be a non-negative integer",
-        )
+    schema.validate(REPORT_SHAPE, report, f"invalid {REPORT_SCHEMA} report: ")
+    records = report["records"]
     _require(
         records["total"] == records["unique"] + records["duplicates_dropped"],
         "records.total must equal unique + duplicates_dropped",
     )
-    shards = report.get("shards")
     _require(
-        isinstance(shards, list) and all(isinstance(s, str) for s in shards),
-        "'shards' must be a list of path strings",
+        report["shards"] == sorted(report["shards"]),
+        "'shards' must be sorted (determinism)",
     )
-    _require(shards == sorted(shards), "'shards' must be sorted (determinism)")
-
-    groups = report.get("groups")
-    _require(isinstance(groups, list), "'groups' must be a list")
-    for i, group in enumerate(groups):
-        label = f"groups[{i}]"
-        _require(isinstance(group, dict), f"{label} must be an object")
-        for field_name in ("setting", "scenario", "environment"):
-            _require(
-                isinstance(group.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        qof = group.get("qof")
-        _require(isinstance(qof, dict), f"{label}.qof must be an object")
-        for field_name in ("num_runs", "num_success", "num_injected"):
-            _require(
-                isinstance(qof.get(field_name), int) and qof[field_name] >= 0,
-                f"{label}.qof.{field_name} must be a non-negative integer",
-            )
+    for i, group in enumerate(report["groups"]):
         _require(
-            isinstance(qof.get("fell_back_to_failures"), bool),
-            f"{label}.qof.fell_back_to_failures must be a boolean",
+            group["qof"]["num_success"] <= group["qof"]["num_runs"],
+            f"groups[{i}].qof cannot have more successes than runs",
         )
-        _require(
-            qof["num_success"] <= qof["num_runs"],
-            f"{label}.qof cannot have more successes than runs",
-        )
-        rate = qof.get("success_rate")
-        _require(
-            isinstance(rate, (int, float)) and 0.0 <= float(rate) <= 1.0,
-            f"{label}.qof.success_rate must be in [0, 1]",
-        )
-        for field_name in (
-            "mean_flight_time",
-            "worst_flight_time",
-            "best_flight_time",
-            "mean_energy",
-            "worst_energy",
-        ):
-            _check_optional_number(qof.get(field_name), f"{label}.qof.{field_name}")
-        intervals = group.get("confidence")
-        _require(isinstance(intervals, dict), f"{label}.confidence must be an object")
-        for name, ci in intervals.items():
-            _require(isinstance(ci, dict), f"{label}.confidence.{name} must be an object")
-            for field_name in ("value", "lower", "upper"):
-                _check_optional_number(
-                    ci.get(field_name), f"{label}.confidence.{name}.{field_name}"
-                )
-            _require(
-                isinstance(ci.get("samples"), int) and ci["samples"] >= 0,
-                f"{label}.confidence.{name}.samples must be a non-negative integer",
-            )
-        _check_optional_stats(
-            group.get("flight_time_distribution"),
-            f"{label}.flight_time_distribution",
-        )
-        trajectory = group.get("trajectory")
-        _require(isinstance(trajectory, dict), f"{label}.trajectory must be an object")
-        for field_name in ("runs", "replans_total"):
-            _require(
-                isinstance(trajectory.get(field_name), int)
-                and trajectory[field_name] >= 0,
-                f"{label}.trajectory.{field_name} must be a non-negative integer",
-            )
-        for field_name in ("path_length", "detour_ratio", "max_lateral_deviation"):
-            _check_optional_stats(
-                trajectory.get(field_name), f"{label}.trajectory.{field_name}"
-            )
-        detection = group.get("detection")
-        _require(isinstance(detection, dict), f"{label}.detection must be an object")
-        for field_name in ("checked_samples", "alarms", "runs_with_alarm"):
-            _require(
-                isinstance(detection.get(field_name), int)
-                and detection[field_name] >= 0,
-                f"{label}.detection.{field_name} must be a non-negative integer",
-            )
-        _check_stage_counter_map(
-            detection.get("alarms_by_stage"), f"{label}.detection.alarms_by_stage"
-        )
-        _check_optional_stats(
-            detection.get("first_alarm_time"),
-            f"{label}.detection.first_alarm_time",
-        )
-        overhead = group.get("overhead")
-        if overhead is not None:
-            _require(isinstance(overhead, dict), f"{label}.overhead must be an object")
-            _require(
-                isinstance(overhead.get("detector"), str),
-                f"{label}.overhead.detector must be a string",
-            )
-            for field_name in ("total_overhead", "total_compute_time"):
-                _check_optional_number(
-                    overhead.get(field_name), f"{label}.overhead.{field_name}"
-                )
-            for side in ("detection_fraction", "recovery_fraction"):
-                fractions = overhead.get(side)
-                _require(
-                    isinstance(fractions, dict),
-                    f"{label}.overhead.{side} must be an object",
-                )
-                for stage, fraction in fractions.items():
-                    _check_optional_number(
-                        fraction, f"{label}.overhead.{side}.{stage}"
-                    )
-
-    accuracy = report.get("detection_accuracy")
-    _require(isinstance(accuracy, list), "'detection_accuracy' must be a list")
-    for i, row in enumerate(accuracy):
-        label = f"detection_accuracy[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        _require(isinstance(row.get("detector"), str), f"{label}.detector must be a string")
-        for field_name in (
-            "golden_runs",
-            "golden_runs_with_alarm",
-            "golden_checked_samples",
-            "golden_alarms",
-            "injected_runs",
-            "injected_runs_with_alarm",
-            "injected_checked_samples",
-        ):
-            _require(
-                isinstance(row.get(field_name), int) and row[field_name] >= 0,
-                f"{label}.{field_name} must be a non-negative integer",
-            )
-        for field_name in ("run_fpr", "sample_fpr", "tpr", "precision",
-                           "mean_time_to_detect"):
-            _check_optional_number(row.get(field_name), f"{label}.{field_name}")
-        per_stage = row.get("per_stage")
-        _require(isinstance(per_stage, dict), f"{label}.per_stage must be an object")
-        for stage, stats in per_stage.items():
-            stage_label = f"{label}.per_stage.{stage}"
-            _require(isinstance(stats, dict), f"{stage_label} must be an object")
-            for field_name in ("injected_runs", "detected_runs", "localized_runs"):
-                _require(
-                    isinstance(stats.get(field_name), int)
-                    and stats[field_name] >= 0,
-                    f"{stage_label}.{field_name} must be a non-negative integer",
-                )
-            for field_name in ("tpr", "localization_rate", "mean_time_to_detect"):
-                _check_optional_number(
-                    stats.get(field_name), f"{stage_label}.{field_name}"
-                )
-
-    recovery = report.get("recovery")
-    _require(isinstance(recovery, list), "'recovery' must be a list")
-    for i, row in enumerate(recovery):
-        label = f"recovery[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        for field_name in ("environment", "setting", "detector"):
-            _require(
-                isinstance(row.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        for field_name in ("worst_case_recovery", "failure_recovery_rate"):
-            _check_optional_number(row.get(field_name), f"{label}.{field_name}")
-
-    failures = report.get("harness_failures")
-    _require(isinstance(failures, dict), "missing 'harness_failures' object")
-    for field_name in ("total", "specs_quarantined", "specs_failed", "specs_recovered"):
-        _require(
-            isinstance(failures.get(field_name), int) and failures[field_name] >= 0,
-            f"harness_failures.{field_name} must be a non-negative integer",
-        )
-    failure_rows = failures.get("rows")
-    _require(isinstance(failure_rows, list), "harness_failures.rows must be a list")
-    for i, row in enumerate(failure_rows):
-        label = f"harness_failures.rows[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        for field_name in ("setting", "error_type", "outcome"):
-            _require(
-                isinstance(row.get(field_name), str),
-                f"{label}.{field_name} must be a string",
-            )
-        _require(
-            isinstance(row.get("count"), int) and row["count"] > 0,
-            f"{label}.count must be a positive integer",
-        )
+    failures = report["harness_failures"]
     _require(
-        sum(row["count"] for row in failure_rows) == failures["total"],
+        sum(row["count"] for row in failures["rows"]) == failures["total"],
         "harness_failures.total must equal the sum of row counts",
     )
-
-    health = report.get("shard_health")
-    _require(isinstance(health, list), "missing 'shard_health' list")
-    for i, row in enumerate(health):
-        label = f"shard_health[{i}]"
-        _require(isinstance(row, dict), f"{label} must be an object")
-        _require(isinstance(row.get("path"), str), f"{label}.path must be a string")
-        for field_name in ("intact", "failures", "torn", "corrupt"):
-            _require(
-                isinstance(row.get(field_name), int) and row[field_name] >= 0,
-                f"{label}.{field_name} must be a non-negative integer",
-            )
 
 
 def validate_report_file(path: Union[str, Path]) -> Dict:
     """Load and validate a report file; returns the parsed report."""
-    path = Path(path)
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"cannot read report {path}: {error}") from error
+    report = schema.read_json(path, "report")
     validate_report(report)
     return report
 
@@ -955,16 +852,11 @@ def validate_report_file(path: Union[str, Path]) -> Dict:
 def write_report(report: Dict, path: Union[str, Path]) -> Path:
     """Validate and write a report as canonical JSON; returns the path.
 
-    ``sort_keys`` plus ``allow_nan=False`` makes the bytes a pure function of
-    the report content -- the determinism the shard-order tests pin down.
+    The bytes are a pure function of the report content -- the determinism
+    the shard-order tests pin down.
     """
     validate_report(report)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    return path
+    return schema.write_json(path, report)
 
 
 # -------------------------------------------------------------------- renderer

@@ -17,11 +17,6 @@ execution engine in several modes:
   curve* and the headline entry (2 workers when the list has it) doubles as
   the ``parallel_checkpointed`` mode.
 
-The v1 schema's ``parallel_scratch`` mode timed a configuration the engine
-never ships (worker pools with every cache disabled); v2 drops it and defines
-``parallel_vs_baseline`` as the shipped parallel engine against the scratch
-baseline.
-
 Every mode's -- and every scaling point's -- result stream is checked
 bit-identical against the baseline's (the hard correctness gate: a faster
 engine that changes a single bit of a mission record fails the bench), every
@@ -34,8 +29,6 @@ saved) alongside the throughputs.  The schema-validated artifact is
 
 from __future__ import annotations
 
-import json
-import math
 import multiprocessing
 import os
 import time
@@ -44,8 +37,8 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.reporting import format_table
-from repro.bench.harness import host_fingerprint
-from repro.core import checkpoint, knobs
+from repro.bench.harness import HOST_SHAPE, host_fingerprint
+from repro.core import checkpoint, knobs, schema
 from repro.core.campaign import Campaign, CampaignConfig
 from repro.core.executor import (
     ParallelExecutor,
@@ -56,21 +49,13 @@ from repro.core.executor import (
 from repro.core.results import mission_results_equal
 from repro.pipeline import builder
 
-#: Schema identifier written into every new campaign report.
+#: Schema identifier written into (and required from) every campaign report.
 CAMPAIGN_BENCH_SCHEMA = "repro-campaign-bench-v2"
-
-#: The previous schema; still accepted by the validator so committed v1
-#: artifacts and external tooling keep working.
-CAMPAIGN_BENCH_SCHEMA_V1 = "repro-campaign-bench-v1"
-
-#: Every schema :func:`validate_campaign_report` accepts.
-SUPPORTED_CAMPAIGN_BENCH_SCHEMAS = (CAMPAIGN_BENCH_SCHEMA_V1, CAMPAIGN_BENCH_SCHEMA)
 
 #: Default report file name (repo-root perf-trajectory artifact).
 DEFAULT_CAMPAIGN_REPORT_NAME = "BENCH_campaign.json"
 
-#: Mode names in report/table order (v2; v1 additionally had
-#: ``parallel_scratch``, which the validator still accepts in old reports).
+#: Mode names in report/table order.
 CAMPAIGN_BENCH_MODES = (
     "serial_scratch",
     "serial_cached",
@@ -417,16 +402,11 @@ def run_campaign_bench(
 
 # ------------------------------------------------------------------ reporting
 def format_campaign_table(report: Dict) -> str:
-    """The campaign bench report as a text table (v1 or v2)."""
+    """The campaign bench report as a text table."""
     rows = []
     base = report["modes"]["serial_scratch"]["specs_per_sec"]
-    mode_order = list(CAMPAIGN_BENCH_MODES)
-    if "parallel_scratch" in report["modes"]:  # v1 reports
-        mode_order.insert(-1, "parallel_scratch")
-    for name in mode_order:
-        mode = report["modes"].get(name)
-        if mode is None:
-            continue
+    for name in CAMPAIGN_BENCH_MODES:
+        mode = report["modes"][name]
         rows.append(
             [
                 name,
@@ -437,7 +417,7 @@ def format_campaign_table(report: Dict) -> str:
             ]
         )
     workload = report["workload"]
-    ckpt = report.get("checkpoint", {})
+    ckpt = report["checkpoint"]
     table = format_table(
         ["Mode", "Workers", "Wall [s]", "Specs/s", "vs baseline"],
         rows,
@@ -448,203 +428,146 @@ def format_campaign_table(report: Dict) -> str:
             f"{workload['injection_window'][1]:.0f}s)"
         ),
     )
-    scaling = report.get("scaling")
-    if scaling:
-        points = []
-        for entry in scaling.get("curve", []):
-            points.append(
-                f"w={entry['workers']} (eff {entry['effective_workers']}): "
-                f"{entry['specs_per_sec']:.2f}/s, "
-                f"{entry['speedup_vs_serial_checkpointed']:.2f}x serial-ckpt, "
-                f"eff'cy {entry['parallel_efficiency']:.2f}, "
-                f"dup builds {entry['duplicate_cursor_builds']}"
-            )
-        table += (
-            f"\nscaling curve [{scaling.get('start_method', '?')}, "
-            f"{scaling.get('cpu_count', '?')} CPU(s)]: " + " | ".join(points)
-        )
+    scaling = report["scaling"]
+    points = [
+        f"w={entry['workers']} (eff {entry['effective_workers']}): "
+        f"{entry['specs_per_sec']:.2f}/s, "
+        f"{entry['speedup_vs_serial_checkpointed']:.2f}x serial-ckpt, "
+        f"eff'cy {entry['parallel_efficiency']:.2f}, "
+        f"dup builds {entry['duplicate_cursor_builds']}"
+        for entry in scaling["curve"]
+    ]
+    table += (
+        f"\nscaling curve [{scaling['start_method']}, "
+        f"{scaling['cpu_count']} CPU(s)]: " + " | ".join(points)
+    )
     table += (
         f"\nbit-identical across modes: {report['bit_identical']}"
-        f" | prefix sim-seconds saved: "
-        f"{ckpt.get('prefix_sim_seconds_saved', 0.0):.1f}"
-        f" (forks: {ckpt.get('forks', 0)}, golden served: "
-        f"{ckpt.get('golden_served', 0)}, cursor restarts: "
-        f"{ckpt.get('cursor_restarts', 0)})"
+        f" | prefix sim-seconds saved: {ckpt['prefix_sim_seconds_saved']:.1f}"
+        f" (forks: {ckpt['forks']}, golden served: {ckpt['golden_served']}, "
+        f"cursor restarts: {ckpt['cursor_restarts']})"
     )
     return table
 
 
 # ----------------------------------------------------------------- validation
-def _validate_scaling_section(report: Dict) -> None:
-    """Validate the v2 ``scaling`` section (curve of per-worker-count points)."""
-    scaling = report.get("scaling")
-    if not isinstance(scaling, dict):
-        raise ValueError("v2 campaign bench report must contain a 'scaling' object")
-    workers = scaling.get("workers")
-    if (
-        not isinstance(workers, list)
-        or not workers
-        or not all(isinstance(w, int) and w >= 1 for w in workers)
-    ):
-        raise ValueError(
-            "scaling.workers must be a non-empty list of positive integers"
-        )
-    for field_name in ("headline_workers", "cpu_count"):
-        value = scaling.get(field_name)
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(
-                f"scaling.{field_name} must be a positive integer, got {value!r}"
+_POSITIVE = schema.Number(0.0, exclusive=True)
+
+_SERIAL_MODE = {
+    **dict.fromkeys(("wall_s", "specs_per_sec"), _POSITIVE),
+    **dict.fromkeys(("specs", "workers"), schema.Int(1)),
+}
+
+#: The declared shape of a ``repro-campaign-bench-v2`` report.
+CAMPAIGN_BENCH_SHAPE = schema.Object(
+    {
+        "schema": schema.OneOf((CAMPAIGN_BENCH_SCHEMA,)),
+        "created_unix": _POSITIVE,
+        "host": HOST_SHAPE,
+        "workload": schema.Object(
+            {
+                "environment": schema.Str(),
+                "injections_per_stage": schema.Int(),
+                **dict.fromkeys(
+                    ("mission_seeds", "specs", "prefix_groups", "repeats"), schema.Int(1)
+                ),
+                "injection_window": schema.ListOf(schema.Number(), min_items=2, max_items=2),
+                "mission_time_limit": _POSITIVE,
+                "smoke": schema.Bool(),
+            }
+        ),
+        "modes": schema.Object(
+            {
+                **dict.fromkeys(
+                    ("serial_scratch", "serial_cached", "serial_checkpointed"),
+                    schema.Object(_SERIAL_MODE),
+                ),
+                "parallel_checkpointed": schema.Object(
+                    {**_SERIAL_MODE, "effective_workers": schema.Int(1)}
+                ),
+            }
+        ),
+        "scaling": schema.Object(
+            {
+                "workers": schema.ListOf(schema.Int(1), min_items=1),
+                "headline_workers": schema.Int(1),
+                "start_method": schema.Str(),
+                "cpu_count": schema.Int(1),
+                "oversubscribe": schema.Bool(),
+                "curve": schema.ListOf(
+                    schema.Object(
+                        {
+                            **dict.fromkeys(("workers", "effective_workers"), schema.Int(1)),
+                            **dict.fromkeys(
+                                ("wall_s", "specs_per_sec", "speedup_vs_serial_checkpointed",
+                                 "parallel_efficiency"),
+                                _POSITIVE,
+                            ),
+                            **dict.fromkeys(
+                                ("duplicate_cursor_builds", "cursors_built",
+                                 "snapshots_restored", "forks", "specs"),
+                                schema.Int(),
+                            ),
+                        }
+                    ),
+                    min_items=1,
+                ),
+            }
+        ),
+        "speedups": schema.Object(
+            dict.fromkeys(
+                ("cached_vs_baseline", "cached_checkpointed_vs_baseline",
+                 "parallel_vs_baseline", "parallel_checkpointed_vs_baseline",
+                 "parallel_vs_serial_checkpointed"),
+                _POSITIVE,
             )
-    if scaling["headline_workers"] not in workers:
-        raise ValueError(
-            "scaling.headline_workers must be one of the scaling.workers counts"
-        )
-    if not isinstance(scaling.get("start_method"), str):
-        raise ValueError("scaling.start_method must be a string")
-    if not isinstance(scaling.get("oversubscribe"), bool):
-        raise ValueError("scaling.oversubscribe must be a boolean")
-    curve = scaling.get("curve")
-    if not isinstance(curve, list) or not curve:
-        raise ValueError("scaling.curve must be a non-empty list of points")
-    for entry in curve:
-        if not isinstance(entry, dict):
-            raise ValueError("scaling.curve entries must be objects")
-        for field_name in ("workers", "effective_workers"):
-            value = entry.get(field_name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(
-                    f"scaling point {field_name} must be a positive integer, "
-                    f"got {value!r}"
-                )
-        for field_name in (
-            "wall_s",
-            "specs_per_sec",
-            "speedup_vs_serial_checkpointed",
-            "parallel_efficiency",
-        ):
-            value = entry.get(field_name)
-            if (
-                not isinstance(value, (int, float))
-                or not math.isfinite(value)
-                or value <= 0
-            ):
-                raise ValueError(
-                    f"scaling point {field_name} must be finite and positive, "
-                    f"got {value!r}"
-                )
-        for field_name in (
-            "duplicate_cursor_builds",
-            "cursors_built",
-            "snapshots_restored",
-            "forks",
-            "specs",
-        ):
-            value = entry.get(field_name)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(
-                    f"scaling point {field_name} must be a non-negative "
-                    f"integer, got {value!r}"
-                )
-    if {entry["workers"] for entry in curve} != set(workers):
-        raise ValueError(
-            "scaling.curve must contain exactly one point per scaling.workers entry"
-        )
+        ),
+        "cache": schema.Object(dict.fromkeys(("hits", "misses"), schema.Int())),
+        "checkpoint": schema.Object(
+            {
+                **dict.fromkeys(
+                    ("cursors_built", "cursor_restarts", "cursor_hits", "forks",
+                     "golden_served", "snapshots_restored", "duplicate_cursor_builds"),
+                    schema.Int(),
+                ),
+                **dict.fromkeys(
+                    ("forked_prefix_sim_seconds", "cursor_sim_seconds"), schema.Number(0.0)
+                ),
+                "prefix_sim_seconds_saved": schema.Number(),
+            }
+        ),
+        # Checkpointed results must match from-scratch execution exactly.
+        "bit_identical": schema.OneOf((True,)),
+    }
+)
 
 
 def validate_campaign_report(report: Dict) -> None:
-    """Validate a campaign bench report (v1 or v2); raises ``ValueError``."""
-    if not isinstance(report, dict):
-        raise ValueError("campaign bench report must be a JSON object")
-    schema = report.get("schema")
-    if schema not in SUPPORTED_CAMPAIGN_BENCH_SCHEMAS:
+    """Validate a campaign bench report against :data:`CAMPAIGN_BENCH_SHAPE`
+    and the scaling curve's invariants; raises ``ValueError``."""
+    prefix = f"invalid {CAMPAIGN_BENCH_SCHEMA} report: "
+    schema.validate(CAMPAIGN_BENCH_SHAPE, report, prefix)
+    scaling = report["scaling"]
+    if scaling["headline_workers"] not in scaling["workers"]:
         raise ValueError(
-            f"campaign bench schema must be one of "
-            f"{list(SUPPORTED_CAMPAIGN_BENCH_SCHEMAS)}, got {schema!r}"
+            f"{prefix}scaling.headline_workers must be one of the scaling.workers counts"
         )
-    modes = report.get("modes")
-    if not isinstance(modes, dict) or not modes:
-        raise ValueError("campaign bench report must contain a 'modes' object")
-    for required in ("serial_scratch", "serial_checkpointed"):
-        if required not in modes:
-            raise ValueError(f"campaign bench report must time the {required!r} mode")
-    for name, mode in modes.items():
-        if not isinstance(mode, dict):
-            raise ValueError(f"mode {name!r}: must be an object")
-        for field_name in ("wall_s", "specs_per_sec"):
-            value = mode.get(field_name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"mode {name!r}: {field_name} must be finite and positive, got {value!r}"
-                )
-        if not isinstance(mode.get("specs"), int) or mode["specs"] <= 0:
-            raise ValueError(f"mode {name!r}: specs must be a positive integer")
-    speedups = report.get("speedups")
-    if not isinstance(speedups, dict):
-        raise ValueError("campaign bench report must contain a 'speedups' object")
-    for name, value in speedups.items():
-        if not isinstance(value, (int, float)) or not math.isfinite(value) or value <= 0:
-            raise ValueError(f"speedup {name!r} must be finite and positive, got {value!r}")
-    headline = speedups.get("cached_checkpointed_vs_baseline")
-    if headline is None:
+    points = [entry["workers"] for entry in scaling["curve"]]
+    if len(set(points)) != len(points) or set(points) != set(scaling["workers"]):
         raise ValueError(
-            "campaign bench report must record 'cached_checkpointed_vs_baseline'"
+            f"{prefix}scaling.curve must contain exactly one point per "
+            f"scaling.workers entry"
         )
-    created = report.get("created_unix")
-    if not isinstance(created, (int, float)) or not math.isfinite(created) or created <= 0:
-        raise ValueError(
-            f"campaign bench report created_unix must be a positive timestamp, "
-            f"got {created!r}"
-        )
-    if schema == CAMPAIGN_BENCH_SCHEMA:
-        for required in ("serial_cached", "parallel_checkpointed"):
-            if required not in modes:
-                raise ValueError(
-                    f"v2 campaign bench report must time the {required!r} mode"
-                )
-        for name in (
-            "cached_vs_baseline",
-            "parallel_vs_baseline",
-            "parallel_checkpointed_vs_baseline",
-            "parallel_vs_serial_checkpointed",
-        ):
-            if speedups.get(name) is None:
-                raise ValueError(
-                    f"v2 campaign bench report must record speedups.{name!r}"
-                )
-        workload = report.get("workload")
-        if isinstance(workload, dict):
-            repeats = workload.get("repeats")
-            if not isinstance(repeats, int) or repeats < 1:
-                raise ValueError(
-                    f"v2 campaign bench workload.repeats must be a positive "
-                    f"integer, got {repeats!r}"
-                )
-        _validate_scaling_section(report)
-    if report.get("bit_identical") is not True:
-        raise ValueError(
-            "campaign bench report must record bit_identical=true (checkpointed "
-            "results must match from-scratch execution exactly)"
-        )
-    for section in ("checkpoint", "cache", "workload", "host"):
-        if not isinstance(report.get(section), dict):
-            raise ValueError(f"campaign bench report must contain a {section!r} object")
 
 
 def validate_campaign_report_file(path: Union[str, Path]) -> Dict:
     """Load and validate a campaign report file; returns the parsed report."""
-    path = Path(path)
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"cannot read campaign bench report {path}: {error}") from error
+    report = schema.read_json(path, "campaign bench report")
     validate_campaign_report(report)
     return report
 
 
 def write_campaign_report(report: Dict, path: Union[str, Path]) -> Path:
-    """Validate and write a report as pretty-printed JSON; returns the path."""
+    """Validate and write a report as canonical JSON; returns the path."""
     validate_campaign_report(report)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+    return schema.write_json(path, report)

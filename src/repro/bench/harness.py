@@ -10,8 +10,6 @@ through them).
 
 from __future__ import annotations
 
-import json
-import math
 import platform
 import time
 from dataclasses import dataclass
@@ -19,6 +17,8 @@ from pathlib import Path
 from typing import Callable, Dict, Optional, Union
 
 import numpy as np
+
+from repro.core import schema
 
 #: Schema identifier written into (and required from) every report.
 BENCH_SCHEMA = "repro-bench-v1"
@@ -110,79 +110,87 @@ def host_fingerprint() -> Dict[str, str]:
     }
 
 
-def validate_report(report: Dict) -> None:
-    """Validate a bench report dict; raises ``ValueError`` when malformed.
+_POSITIVE = schema.Number(0.0, exclusive=True)
 
-    Checks the schema marker, the presence and well-formedness of every
-    kernel entry (finite, positive timings; finite speedup when a scalar
-    reference was measured) and the pipeline-profile section.
-    """
-    if not isinstance(report, dict):
-        raise ValueError("bench report must be a JSON object")
-    if report.get("schema") != BENCH_SCHEMA:
-        raise ValueError(
-            f"bench report schema must be {BENCH_SCHEMA!r}, got {report.get('schema')!r}"
-        )
-    kernels = report.get("kernels")
-    if not isinstance(kernels, dict) or not kernels:
-        raise ValueError("bench report must contain a non-empty 'kernels' object")
-    for name, entry in kernels.items():
-        if not isinstance(entry, dict) or "vector" not in entry:
-            raise ValueError(f"kernel {name!r}: missing 'vector' timings")
-        for side in ("vector", "scalar"):
-            stats = entry.get(side)
-            if stats is None:
-                continue
-            if not isinstance(stats, dict):
-                raise ValueError(f"kernel {name!r}: {side} must be a timings object")
-            for field_name in ("best_ms", "mean_ms", "repeats", "runs_per_sec"):
-                value = stats.get(field_name)
-                if not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(
-                        f"kernel {name!r}: {side}.{field_name} must be finite, got {value!r}"
+#: The :func:`host_fingerprint` object every bench report embeds.
+HOST_SHAPE = schema.Object(
+    dict.fromkeys(("python", "implementation", "numpy", "machine", "system"), schema.Str())
+)
+
+_TIMINGS = schema.Object(
+    {
+        **dict.fromkeys(("best_ms", "mean_ms", "runs_per_sec"), _POSITIVE),
+        **dict.fromkeys(("repeats", "calls_per_run"), schema.Int(1)),
+    }
+)
+
+#: The declared shape of a ``repro-bench-v1`` (``BENCH_hotpath.json``) report.
+BENCH_SHAPE = schema.Object(
+    {
+        "schema": schema.OneOf((BENCH_SCHEMA,)),
+        "created_unix": _POSITIVE,
+        "host": HOST_SHAPE,
+        "env": schema.Object(rest=schema.Str()),
+        "workload": schema.Object(
+            {
+                **dict.fromkeys(("environment", "camera"), schema.Str()),
+                "seed": schema.Int(None),
+                "depth_frames": schema.Int(1),
+                **dict.fromkeys(
+                    ("cloud_points", "occupied_voxels", "collision_poses", "detector_samples"),
+                    schema.Int(),
+                ),
+                "smoke": schema.Bool(),
+            }
+        ),
+        "repeats": schema.Int(1),
+        "kernels": schema.Object(
+            rest=schema.Object(
+                {"vector": _TIMINGS, "scalar": _TIMINGS, "speedup": _POSITIVE},
+                optional=("scalar", "speedup"),
+            )
+        ),
+        "pipeline": schema.Object(
+            {
+                "environment": schema.Str(),
+                "seed": schema.Int(None),
+                "mission_success": schema.Bool(),
+                **dict.fromkeys(("mission_flight_time_s", "mission_wall_s"), schema.Number(0.0)),
+                "per_kernel": schema.Object(
+                    rest=schema.Object(
+                        {
+                            **dict.fromkeys(("wall_ms", "ms_per_call"), schema.Number(0.0)),
+                            "calls": schema.Int(),
+                        }
                     )
-            if stats["best_ms"] <= 0 or stats["mean_ms"] <= 0:
-                raise ValueError(f"kernel {name!r}: {side} timings must be positive")
-        if "scalar" in entry:
-            speedup = entry.get("speedup")
-            if not isinstance(speedup, (int, float)) or not math.isfinite(speedup) or speedup <= 0:
-                raise ValueError(f"kernel {name!r}: speedup must be finite and positive")
-    pipeline = report.get("pipeline")
-    if not isinstance(pipeline, dict):
-        raise ValueError("bench report must contain a 'pipeline' profile object")
-    per_kernel = pipeline.get("per_kernel")
-    if not isinstance(per_kernel, dict):
-        raise ValueError("pipeline profile must contain a 'per_kernel' object")
-    for name, stats in per_kernel.items():
-        if not isinstance(stats, dict):
-            raise ValueError(f"pipeline kernel {name!r}: stats must be an object")
-        for field_name in ("wall_ms", "calls", "ms_per_call"):
-            value = stats.get(field_name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(
-                    f"pipeline kernel {name!r}: {field_name} must be finite, got {value!r}"
-                )
-    if not isinstance(report.get("host"), dict):
-        raise ValueError("bench report must record the 'host' fingerprint")
-    if not isinstance(report.get("workload"), dict):
-        raise ValueError("bench report must describe its 'workload'")
+                ),
+            }
+        ),
+    }
+)
+
+
+def validate_report(report: Dict) -> None:
+    """Validate a bench report dict against :data:`BENCH_SHAPE`; raises
+    ``ValueError`` when malformed.  Beyond the shape: at least one kernel, and
+    a speedup for every kernel timed against a scalar reference."""
+    prefix = f"invalid {BENCH_SCHEMA} report: "
+    schema.validate(BENCH_SHAPE, report, prefix)
+    if not report["kernels"]:
+        raise ValueError(f"{prefix}kernels must be a non-empty object")
+    for name, entry in report["kernels"].items():
+        if "scalar" in entry and "speedup" not in entry:
+            raise ValueError(f"{prefix}kernels.{name}.speedup must be present")
 
 
 def validate_report_file(path: Union[str, Path]) -> Dict:
     """Load and validate a report file; returns the parsed report."""
-    path = Path(path)
-    try:
-        report = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"cannot read bench report {path}: {error}") from error
+    report = schema.read_json(path, "bench report")
     validate_report(report)
     return report
 
 
 def write_report(report: Dict, path: Union[str, Path]) -> Path:
-    """Validate and write a report as pretty-printed JSON; returns the path."""
+    """Validate and write a report as canonical JSON; returns the path."""
     validate_report(report)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return path
+    return schema.write_json(path, report)

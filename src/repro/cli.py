@@ -890,17 +890,13 @@ def _validate_bench_report(path: Path) -> int:
     """Validate a bench report of either schema (auto-detected)."""
     import json
 
-    from repro.bench import (
-        SUPPORTED_CAMPAIGN_BENCH_SCHEMAS,
-        validate_campaign_report_file,
-        validate_report_file,
-    )
+    from repro.bench import validate_campaign_report_file, validate_report_file
 
     try:
         schema = json.loads(path.read_text()).get("schema")
     except (OSError, json.JSONDecodeError, AttributeError) as error:
         raise ValueError(f"cannot read bench report {path}: {error}") from error
-    if schema in SUPPORTED_CAMPAIGN_BENCH_SCHEMAS:
+    if str(schema).startswith("repro-campaign-bench"):
         report = validate_campaign_report_file(path)
         print(
             f"{path}: valid {report['schema']} report "

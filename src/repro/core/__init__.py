@@ -23,7 +23,9 @@ analysis framework for ROS-based autonomous systems.  The package contains
   accounting (Table II),
 * :mod:`repro.core.results` -- distribution statistics plus the JSONL
   mission-result serialisation used by the execution engine and the
-  benchmark harnesses.
+  benchmark harnesses,
+* :mod:`repro.core.schema` -- the node kinds every JSON artifact declares
+  its closed shape with, and the one validator that checks them.
 """
 
 from repro.core.adaptive import (

@@ -37,15 +37,15 @@ replayable after the fact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro import topics
+from repro.core import schema
 from repro.core.campaign import Campaign, RunSetting
 from repro.core.executor import (
     DETECTOR_AUTOENCODER,
@@ -709,288 +709,206 @@ def _finite_or_none(value: float) -> Optional[float]:
 
 
 # ----------------------------------------------------------------- validation
+_POSITIVE = schema.Number(0.0, exclusive=True)
+_UNIT_OPEN = schema.Number(0.0, 1.0, exclusive=True)
+_PAIR = schema.ListOf(schema.Number(), min_items=2, max_items=2)
+_STRINGS = schema.ListOf(schema.Str())
+_LABEL = schema.Str(non_empty=True)
+_CELL_KEY = {
+    "cell": _LABEL,
+    **dict.fromkeys(("setting", "scenario", "stage"), schema.Str()),
+}
+
+#: The declared shape of an ``adaptive-plan-v1`` audit trail.
+PLAN_SHAPE = schema.Object(
+    {
+        "schema": schema.OneOf((PLAN_SCHEMA,)),
+        "campaign": schema.Object(
+            {
+                **dict.fromkeys(
+                    ("environment", "planner", "platform"), schema.Str(non_empty=True)
+                ),
+                **dict.fromkeys(("env_seed", "seed"), schema.Int(None)),
+                **dict.fromkeys(("mission_time_limit", "time_step"), _POSITIVE),
+                "injection_window": _PAIR,
+                **dict.fromkeys(("settings", "scenarios", "stages"), _STRINGS),
+                "seed_pool_size": schema.Int(1),
+            }
+        ),
+        "config": schema.Object(
+            {
+                "budget": schema.Int(1),
+                **dict.fromkeys(("ci_width", "confidence"), _UNIT_OPEN),
+                **dict.fromkeys(("round_size", "min_runs", "max_rounds"), schema.Int(1)),
+                "bisect": schema.Bool(),
+                "bisect_tolerance": _POSITIVE,
+                "bisect_max_probes": schema.Int(),
+                "bisect_votes": schema.Int(1),
+            }
+        ),
+        "rounds": schema.ListOf(
+            schema.Object(
+                {
+                    "round": schema.Int(),
+                    "allocations": schema.ListOf(
+                        schema.Object(
+                            {
+                                "cell": _LABEL,
+                                "runs": schema.Int(1),
+                                "spec_keys": _STRINGS,
+                            }
+                        ),
+                        min_items=1,
+                    ),
+                    "runs_used": schema.Int(),
+                }
+            )
+        ),
+        "cells": schema.ListOf(
+            schema.Object(
+                {
+                    **_CELL_KEY,
+                    **dict.fromkeys(("runs", "successes"), schema.Int()),
+                    "success_rate": schema.Number(0.0, 1.0, nullable=True),
+                    "wilson": schema.Object(
+                        {
+                            **dict.fromkeys(
+                                ("lower", "upper", "half_width"), schema.Number(nullable=True)
+                            ),
+                            "confidence": _UNIT_OPEN,
+                        }
+                    ),
+                    "stop_reason": schema.OneOf(STOP_REASONS),
+                    "stop_round": schema.Int(nullable=True),
+                    "spec_keys": _STRINGS,
+                }
+            ),
+            min_items=1,
+        ),
+        "boundaries": schema.ListOf(
+            schema.Object(
+                {
+                    **_CELL_KEY,
+                    **dict.fromkeys(("window", "bracket"), _PAIR),
+                    "boundary": schema.Number(nullable=True),
+                    "probes": schema.Int(),
+                    "votes": schema.Int(1),
+                    "tolerance": _POSITIVE,
+                    "converged": schema.Bool(),
+                    "reason": schema.OneOf(BISECT_REASONS),
+                    **dict.fromkeys(("lo_survives", "hi_survives"), schema.Bool(nullable=True)),
+                }
+            )
+        ),
+        "totals": schema.Object(
+            {
+                "budget": schema.Int(1),
+                **dict.fromkeys(
+                    ("runs_used", "sampling_runs", "bisection_probes", "cells",
+                     "early_stopped"),
+                    schema.Int(),
+                ),
+            }
+        ),
+    }
+)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(f"invalid {PLAN_SCHEMA} plan: {message}")
 
 
-def _require_int(value: object, message: str, minimum: int = 0) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool), message)
-    number = int(value)  # type: ignore[arg-type]
-    _require(number >= minimum, message)
-    return number
-
-
-def _validate_interval_field(value: object, name: str, label: str) -> None:
-    if value is None:
-        return
-    _require(
-        isinstance(value, (int, float)) and math.isfinite(float(value)),
-        f"cell {label} wilson.{name} must be finite or null",
-    )
-
-
 def validate_plan(plan: Dict) -> Dict:
-    """Structurally validate an ``adaptive-plan-v1`` audit trail.
+    """Validate an ``adaptive-plan-v1`` audit trail; returns it.
 
-    Checks schema identity, section presence, cross-section accounting (the
-    per-round allocations must sum to each cell's tallies and to the totals),
-    stop/bisection reason vocabularies, interval sanity and the budget
-    ceiling.  Returns the plan on success, raises :class:`ValueError` with a
+    Checks :data:`PLAN_SHAPE`, then the cross-section accounting: the
+    per-round allocations must sum to each cell's tallies (spec keys in
+    order) and to the totals, the budget ceiling holds, and every bisection
+    bracket lies within its window.  Raises :class:`ValueError` with a
     specific message on the first violation.
     """
-    _require(isinstance(plan, dict), "plan must be a JSON object")
+    schema.validate(PLAN_SHAPE, plan, f"invalid {PLAN_SCHEMA} plan: ")
+    window = plan["campaign"]["injection_window"]
     _require(
-        plan.get("schema") == PLAN_SCHEMA,
-        f"schema must be {PLAN_SCHEMA!r}, got {plan.get('schema')!r}",
-    )
-    for section in ("campaign", "config", "rounds", "cells", "boundaries", "totals"):
-        _require(section in plan, f"missing section {section!r}")
-    campaign = plan["campaign"]
-    _require(isinstance(campaign, dict), "campaign must be an object")
-    for name in ("environment", "planner", "platform"):
-        _require(
-            isinstance(campaign.get(name), str) and bool(campaign[name]),
-            f"campaign.{name} must be a non-empty string",
-        )
-    for name in ("env_seed", "seed"):
-        _require(
-            isinstance(campaign.get(name), int) and not isinstance(campaign[name], bool),
-            f"campaign.{name} must be an integer",
-        )
-    for name in ("mission_time_limit", "time_step"):
-        value = campaign.get(name)
-        _require(
-            isinstance(value, (int, float)) and math.isfinite(float(value))
-            and float(value) > 0.0,
-            f"campaign.{name} must be finite and positive",
-        )
-    window = campaign.get("injection_window")
-    _require(
-        isinstance(window, list) and len(window) == 2
-        and all(isinstance(v, (int, float)) for v in window)
-        and float(window[0]) <= float(window[1]),
+        window[0] <= window[1],
         "campaign.injection_window must be an ordered [lo, hi] pair",
     )
-    for name in ("settings", "scenarios", "stages"):
-        values = campaign.get(name)
-        _require(
-            isinstance(values, list) and all(isinstance(v, str) for v in values),
-            f"campaign.{name} must be a list of strings",
-        )
-    _require_int(
-        campaign.get("seed_pool_size"), "campaign.seed_pool_size must be an int >= 1", 1
-    )
-    config = plan["config"]
-    _require(isinstance(config, dict), "config must be an object")
-    budget = _require_int(config.get("budget"), "config.budget must be a positive int", 1)
-    for name in ("ci_width", "confidence"):
-        value = config.get(name)
-        _require(
-            isinstance(value, (int, float)) and 0.0 < float(value) < 1.0,
-            f"config.{name} must be in (0, 1)",
-        )
-    _require_int(config.get("round_size"), "config.round_size must be >= 1", 1)
-    _require_int(config.get("min_runs"), "config.min_runs must be >= 1", 1)
-    _require_int(config.get("max_rounds"), "config.max_rounds must be >= 1", 1)
-    _require(isinstance(config.get("bisect"), bool), "config.bisect must be a boolean")
-    tolerance = config.get("bisect_tolerance")
-    _require(
-        isinstance(tolerance, (int, float)) and math.isfinite(float(tolerance))
-        and float(tolerance) > 0.0,
-        "config.bisect_tolerance must be finite and positive",
-    )
-    _require_int(
-        config.get("bisect_max_probes"), "config.bisect_max_probes must be >= 0"
-    )
-    _require_int(config.get("bisect_votes"), "config.bisect_votes must be >= 1", 1)
-
+    budget = plan["config"]["budget"]
     totals = plan["totals"]
-    _require(isinstance(totals, dict), "totals must be an object")
-    runs_used = _require_int(totals.get("runs_used"), "totals.runs_used must be an int >= 0")
-    sampling = _require_int(
-        totals.get("sampling_runs"), "totals.sampling_runs must be an int >= 0"
-    )
-    probes = _require_int(
-        totals.get("bisection_probes"), "totals.bisection_probes must be an int >= 0"
-    )
+    runs_used, sampling = totals["runs_used"], totals["sampling_runs"]
+    probes = totals["bisection_probes"]
     _require(
         runs_used == sampling + probes,
         "totals.runs_used must equal sampling_runs + bisection_probes",
     )
     _require(runs_used <= budget, "totals.runs_used must not exceed the budget")
-    _require(
-        totals.get("budget") == budget,
-        "totals.budget must match config.budget",
-    )
+    _require(totals["budget"] == budget, "totals.budget must match config.budget")
 
-    rounds = plan["rounds"]
-    _require(isinstance(rounds, list), "rounds must be a list")
     allocated: Dict[str, int] = {}
     allocated_keys: Dict[str, List[str]] = {}
-    round_total = 0
-    for i, entry in enumerate(rounds):
-        _require(isinstance(entry, dict), f"round {i} must be an object")
-        _require(entry.get("round") == i, f"round {i} must be numbered in order")
-        allocations = entry.get("allocations")
-        _require(
-            isinstance(allocations, list) and allocations,
-            f"round {i} must have a non-empty allocations list",
-        )
-        for allocation in allocations:
-            _require(isinstance(allocation, dict), f"round {i} allocation must be an object")
-            label = allocation.get("cell")
+    for i, entry in enumerate(plan["rounds"]):
+        _require(entry["round"] == i, f"round {i} must be numbered in order")
+        for allocation in entry["allocations"]:
+            label, keys = allocation["cell"], allocation["spec_keys"]
             _require(
-                isinstance(label, str) and bool(label),
-                f"round {i} allocation needs a cell label",
-            )
-            count = _require_int(
-                allocation.get("runs"), f"round {i} allocation runs must be >= 1", 1
-            )
-            keys = allocation.get("spec_keys")
-            _require(
-                isinstance(keys, list) and len(keys) == count
-                and all(isinstance(k, str) for k in keys),
+                len(keys) == allocation["runs"],
                 f"round {i} allocation spec_keys must list one key per run",
             )
-            assert isinstance(label, str) and isinstance(keys, list)
-            allocated[label] = allocated.get(label, 0) + count
+            allocated[label] = allocated.get(label, 0) + allocation["runs"]
             allocated_keys.setdefault(label, []).extend(keys)
-            round_total += count
     _require(
-        round_total == sampling,
+        sum(allocated.values()) == sampling,
         "per-round allocations must sum to totals.sampling_runs",
     )
 
     cells = plan["cells"]
-    _require(isinstance(cells, list) and cells, "cells must be a non-empty list")
-    seen_labels = []
+    seen_labels: Set[str] = set()
     for cell in cells:
-        _require(isinstance(cell, dict), "each cell must be an object")
-        label = cell.get("cell")
-        _require(isinstance(label, str) and bool(label), "each cell needs a label")
-        assert isinstance(label, str)
+        label, runs = cell["cell"], cell["runs"]
         _require(label not in seen_labels, f"duplicate cell label {label!r}")
-        seen_labels.append(label)
-        for name in ("setting", "scenario", "stage"):
-            _require(
-                isinstance(cell.get(name), str),
-                f"cell {label} {name} must be a string",
-            )
-        runs = _require_int(cell.get("runs"), f"cell {label} runs must be an int >= 0")
-        successes = _require_int(
-            cell.get("successes"), f"cell {label} successes must be an int >= 0"
+        seen_labels.add(label)
+        _require(
+            cell["successes"] <= runs, f"cell {label} successes must not exceed its runs"
         )
         _require(
-            successes <= runs, f"cell {label} successes must not exceed its runs"
+            (cell["success_rate"] is None) == (runs == 0),
+            f"cell {label} success_rate must be null exactly when it has no runs",
         )
-        rate = cell.get("success_rate")
-        if runs:
-            _require(
-                isinstance(rate, (int, float)) and 0.0 <= float(rate) <= 1.0,
-                f"cell {label} success_rate must be in [0, 1]",
-            )
-        else:
-            _require(rate is None, f"cell {label} success_rate must be null with no runs")
-        stop_round = cell.get("stop_round")
-        if stop_round is not None:
-            _require_int(stop_round, f"cell {label} stop_round must be an int >= 0")
         _require(
             runs == allocated.get(label, 0),
             f"cell {label} runs must equal its summed round allocations",
         )
-        keys = cell.get("spec_keys")
         _require(
-            isinstance(keys, list) and keys == allocated_keys.get(label, []),
+            cell["spec_keys"] == allocated_keys.get(label, []),
             f"cell {label} spec_keys must match its round allocations in order",
         )
+        lower, upper = cell["wilson"]["lower"], cell["wilson"]["upper"]
         _require(
-            cell.get("stop_reason") in STOP_REASONS,
-            f"cell {label} stop_reason must be one of {STOP_REASONS}",
+            lower is None or upper is None or lower <= upper,
+            f"cell {label} wilson interval must be ordered",
         )
-        wilson = cell.get("wilson")
-        _require(isinstance(wilson, dict), f"cell {label} needs a wilson section")
-        assert isinstance(wilson, dict)
-        for name in ("lower", "upper", "half_width"):
-            _validate_interval_field(wilson.get(name), name, label)
-        lower, upper = wilson.get("lower"), wilson.get("upper")
-        if lower is not None and upper is not None:
-            _require(
-                float(lower) <= float(upper),
-                f"cell {label} wilson interval must be ordered",
-            )
-    early = sum(1 for cell in cells if cell.get("stop_reason") == STOP_CONVERGED)
+    early = sum(1 for cell in cells if cell["stop_reason"] == STOP_CONVERGED)
     _require(
-        totals.get("early_stopped") == early,
+        totals["early_stopped"] == early,
         "totals.early_stopped must count the converged cells",
     )
-    _require(
-        totals.get("cells") == len(cells),
-        "totals.cells must match the cells section",
-    )
+    _require(totals["cells"] == len(cells), "totals.cells must match the cells section")
 
-    boundaries = plan["boundaries"]
-    _require(isinstance(boundaries, list), "boundaries must be a list")
-    boundary_probes = 0
-    for boundary in boundaries:
-        _require(isinstance(boundary, dict), "each boundary must be an object")
-        label = boundary.get("cell")
-        _require(isinstance(label, str) and bool(label), "each boundary needs a cell label")
-        for name in ("setting", "scenario", "stage"):
-            _require(
-                isinstance(boundary.get(name), str),
-                f"boundary {label} {name} must be a string",
-            )
+    for boundary in plan["boundaries"]:
+        label = boundary["cell"]
+        (lo, hi), (left, right) = boundary["window"], boundary["bracket"]
         _require(
-            boundary.get("reason") in BISECT_REASONS,
-            f"boundary {label} reason must be one of {BISECT_REASONS}",
+            lo <= left <= right <= hi,
+            f"boundary {label} bracket must be an ordered pair within its window",
         )
-        _require_int(
-            boundary.get("votes"), f"boundary {label} votes must be an int >= 1", 1
-        )
-        tolerance = boundary.get("tolerance")
+        estimate = boundary["boundary"]
         _require(
-            isinstance(tolerance, (int, float)) and math.isfinite(float(tolerance))
-            and float(tolerance) > 0.0,
-            f"boundary {label} tolerance must be finite and positive",
-        )
-        _require(
-            isinstance(boundary.get("converged"), bool),
-            f"boundary {label} converged must be a boolean",
-        )
-        for name in ("lo_survives", "hi_survives"):
-            survives = boundary.get(name)
-            _require(
-                survives is None or isinstance(survives, bool),
-                f"boundary {label} {name} must be a boolean or null",
-            )
-        window = boundary.get("window")
-        bracket = boundary.get("bracket")
-        for name, pair in (("window", window), ("bracket", bracket)):
-            _require(
-                isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(v, (int, float)) for v in pair)
-                and float(pair[0]) <= float(pair[1]),
-                f"boundary {label} {name} must be an ordered [lo, hi] pair",
-            )
-        assert isinstance(window, list) and isinstance(bracket, list)
-        _require(
-            float(window[0]) <= float(bracket[0])
-            and float(bracket[1]) <= float(window[1]),
-            f"boundary {label} bracket must lie within its window",
-        )
-        estimate = boundary.get("boundary")
-        if estimate is not None:
-            _require(
-                isinstance(estimate, (int, float))
-                and float(bracket[0]) <= float(estimate) <= float(bracket[1]),
-                f"boundary {label} estimate must lie within its bracket",
-            )
-        boundary_probes += _require_int(
-            boundary.get("probes"), f"boundary {label} probes must be an int >= 0"
+            estimate is None or left <= estimate <= right,
+            f"boundary {label} estimate must lie within its bracket",
         )
     _require(
-        boundary_probes == probes,
+        sum(boundary["probes"] for boundary in plan["boundaries"]) == probes,
         "per-boundary probes must sum to totals.bisection_probes",
     )
     return plan
@@ -998,20 +916,10 @@ def validate_plan(plan: Dict) -> Dict:
 
 def validate_plan_file(path: Union[str, Path]) -> Dict:
     """Load and validate an audit-trail file; returns the plan dict."""
-    path = Path(path)
-    try:
-        plan = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as error:
-        raise ValueError(f"cannot read adaptive plan {path}: {error}") from error
-    return validate_plan(plan)
+    return validate_plan(schema.read_json(path, "adaptive plan"))
 
 
 def write_plan(plan: Dict, path: Union[str, Path]) -> Path:
     """Validate and write an audit trail as canonical, deterministic JSON."""
     validate_plan(plan)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(plan, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path
+    return schema.write_json(path, plan)

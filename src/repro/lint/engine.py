@@ -6,7 +6,7 @@ unreadable path, broken baseline).
 
 The engine runs two passes.  The per-file pass parses each collected file
 once and runs the RL001..RL007 checkers against its AST.  When any project
-checker (RL008..RL012) is selected -- or ``--graph`` asks for the import
+checker (RL008..RL010, RL012) is selected -- or ``--graph`` asks for the import
 graph artifact -- the same parsed contexts feed the index pass
 (``repro.lint.project.ProjectIndex``) and the project checkers run against
 the whole-program index.  Pragmas, fingerprints, the baseline and the JSON
@@ -34,10 +34,6 @@ from repro.lint.pragmas import PRAGMA_CODE, parse_pragmas, pragma_findings
 from repro.lint.project import ProjectChecker, ProjectIndex
 
 JSON_SCHEMA = "repro-lint-v2"
-JSON_SCHEMA_V1 = "repro-lint-v1"
-#: Schemas ``parse_result_payload`` accepts: v1 payloads (no project pass,
-#: no stale-baseline section) must stay readable by downstream tooling.
-SUPPORTED_JSON_SCHEMAS = (JSON_SCHEMA_V1, JSON_SCHEMA)
 
 #: Directory basenames never descended into.
 _SKIP_DIRS = {"__pycache__", ".git", ".cache", ".venv", "results"}
@@ -78,28 +74,6 @@ class LintResult:
                 "stale_baseline": len(self.stale_baseline),
             },
         }
-
-
-def parse_result_payload(payload: dict) -> dict:
-    """Normalize a v1 or v2 JSON result payload to the v2 shape.
-
-    Raises ``ValueError`` on unknown schemas, so tooling fails loudly when
-    the format moves under it instead of misreading the counts.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("lint result payload must be a JSON object")
-    schema = payload.get("schema")
-    if schema not in SUPPORTED_JSON_SCHEMAS:
-        raise ValueError(
-            f"lint result schema must be one of {list(SUPPORTED_JSON_SCHEMAS)}, "
-            f"got {schema!r}"
-        )
-    normalized = dict(payload)
-    normalized.setdefault("stale_baseline", [])
-    counts = dict(normalized.get("counts", {}))
-    counts.setdefault("stale_baseline", len(normalized["stale_baseline"]))
-    normalized["counts"] = counts
-    return normalized
 
 
 def find_repo_root(start: Optional[Path] = None) -> Path:

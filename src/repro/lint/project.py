@@ -4,7 +4,7 @@ The per-file checkers (RL001..RL007) see one AST at a time; every expensive
 contract bug this repo has actually shipped crossed a file boundary
 (``abort_grace`` missing from the RunSpec key, schema emitters drifting from
 their validators).  The index pass parses every collected file once and
-builds the cross-file tables the project checkers (RL008..RL012) need:
+builds the cross-file tables the project checkers (RL008..RL010, RL012) need:
 
 * the internal import graph (edge kind: toplevel / lazy / typing),
 * per-module class tables (dataclass fields, methods),
@@ -355,23 +355,3 @@ class ProjectChecker:
             snippet=module.snippet(line),
         )
 
-
-def collect_string_constants(node: ast.AST, skip_fstrings: bool = True) -> List[str]:
-    """Every string literal under ``node`` (f-string fragments excluded).
-
-    F-string fragments are excluded because they are prose, not keys: a
-    validator's error message mentioning a field name inside an f-string
-    must not count as "checking" that field.
-    """
-    found: List[str] = []
-
-    def walk(n: ast.AST) -> None:
-        if skip_fstrings and isinstance(n, ast.JoinedStr):
-            return
-        if isinstance(n, ast.Constant) and isinstance(n.value, str):
-            found.append(n.value)
-        for child in ast.iter_child_nodes(n):
-            walk(child)
-
-    walk(node)
-    return found

@@ -467,8 +467,8 @@ class TestReportValidator:
             validate_report(report)
 
     # Regressions for fields the validator historically never looked at
-    # (found by the RL011 schema-drift checker): each emitted section must
-    # now be rejected when it goes missing or malformed.
+    # (found by comparing emitted keys against the checked ones): each
+    # emitted section must now be rejected when it goes missing or malformed.
 
     def test_rejects_missing_bootstrap_settings(self, campaign_store):
         report = self._valid(campaign_store)
@@ -512,6 +512,21 @@ class TestReportValidator:
             pytest.skip("fixture store produced no detection rows")
         report["detection_accuracy"][0].pop("golden_checked_samples")
         with pytest.raises(ValueError, match="golden_checked_samples"):
+            validate_report(report)
+
+
+class TestClosedReportSchema:
+    def test_rejects_bool_counter(self, campaign_store):
+        # Regression: ``true`` used to pass as a non-negative integer count.
+        report = build_report([campaign_store])
+        report["shard_health"][0]["torn"] = True
+        with pytest.raises(ValueError, match=r"shard_health\[0\]\.torn must be an integer"):
+            validate_report(report)
+
+    def test_rejects_undeclared_nested_key_by_path(self, campaign_store):
+        report = build_report([campaign_store])
+        report["groups"][0]["qof"]["bogus"] = 1
+        with pytest.raises(ValueError, match=r"groups\[0\]\.qof\.bogus must not be present"):
             validate_report(report)
 
 

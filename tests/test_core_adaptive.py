@@ -399,7 +399,7 @@ class TestPlanValidation:
         self._corrupt(plan, lambda p: p.pop("rounds"))
 
     # Regressions for sections the validator historically never looked at
-    # (found by the RL011 schema-drift checker).
+    # (found by comparing emitted keys against the checked ones).
 
     def test_rejects_missing_campaign_field(self, plan):
         self._corrupt(plan, lambda p: p["campaign"].pop("environment"))
@@ -480,6 +480,21 @@ class TestPlanValidation:
                 p["cells"][0]["spec_keys"] = [*keys, "bogus"]
 
         self._corrupt(plan, mutate)
+
+    def test_rejects_bool_round_counter(self, plan):
+        # Regression: ``False == 0`` used to pass the round-numbering check.
+        copy = json.loads(json.dumps(plan, sort_keys=True))
+        copy["rounds"][0]["round"] = False
+        with pytest.raises(ValueError, match=r"rounds\[0\]\.round must be an integer"):
+            validate_plan(copy)
+
+    def test_rejects_undeclared_nested_key_by_path(self, plan):
+        copy = json.loads(json.dumps(plan, sort_keys=True))
+        copy["cells"][0]["wilson"]["bogus"] = 1
+        with pytest.raises(
+            ValueError, match=r"cells\[0\]\.wilson\.bogus must not be present"
+        ):
+            validate_plan(copy)
 
 
 class TestReportIngestion:

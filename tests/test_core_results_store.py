@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.campaign import Campaign, CampaignConfig
+from repro.core.campaign import Campaign, CampaignConfig, RunSetting
+from repro.core.executor import DETECTOR_GAUSSIAN
 from repro.core.results import (
     RESULT_FORMAT_VERSION,
     JsonlResultStore,
@@ -18,6 +19,7 @@ from repro.core.results import (
     mission_results_equal,
 )
 from repro.sim.airsim import FlightOutcome
+from repro.topics import PPC_STAGES
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,39 @@ class TestSerialisation:
         data["trajectory"] = []
         restored = mission_result_from_dict(data)
         assert restored.trajectory.shape == (0, 3)
+
+
+@pytest.fixture(scope="module")
+def detected_injection_result(trained_gad):
+    """A D&R injection mission under a scenario whose detector raised alarms,
+    so every optional result field holds a non-default value."""
+    campaign = Campaign(
+        CampaignConfig(
+            environment="farm",
+            num_golden=1,
+            num_injections_per_stage=1,
+            mission_time_limit=60.0,
+            scenario="patrol-farm",
+        ),
+        gad=trained_gad,
+    )
+    (spec,) = campaign.stage_injection_specs(
+        RunSetting.DR_GAUSSIAN, detector=DETECTOR_GAUSSIAN, stages=PPC_STAGES[:1]
+    )
+    return campaign.run_specs([spec])[0]
+
+
+def test_round_trip_closes_on_a_detected_injection(detected_injection_result):
+    """``to_dict(from_dict(d)) == d`` with no field left at its default: a
+    field the writer emits but the reader drops (or the reverse) fails here."""
+    result = detected_injection_result
+    assert result.scenario and result.fault_description and result.fault_target
+    assert result.first_alarm_time is not None and result.injection_time is not None
+    assert result.detection_alarms and result.detection_alarms_by_stage
+    assert result.first_alarm_time_by_stage and result.recoveries_by_stage
+    assert result.replan_count and result.detection_checked_samples
+    data = json.loads(json.dumps(mission_result_to_dict(result)))
+    assert mission_result_to_dict(mission_result_from_dict(data)) == data
 
 
 class TestJsonlResultStore:

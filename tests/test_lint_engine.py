@@ -16,6 +16,7 @@ from repro.cli import main as repro_main
 from repro.lint.baseline import (
     BASELINE_SCHEMA,
     load_baseline,
+    load_baseline_entries,
     save_baseline,
 )
 from repro.lint.engine import (
@@ -156,6 +157,16 @@ class TestBaseline:
         assert payload["schema"] == BASELINE_SCHEMA
         assert {"code", "path", "fingerprint"} == set(payload["findings"][0])
         assert load_baseline(baseline) == {payload["findings"][0]["fingerprint"]}
+
+    def test_save_load_save_is_byte_identical(self, tmp_path):
+        """The baseline contract closes: every saved field is read back."""
+        root = make_repo(tmp_path, VIOLATION + "import time\nt = time.time()\n")
+        first, second = root / "first.json", root / "second.json"
+        findings = run_lint([Path("src")], root=root, use_baseline=False).findings
+        assert len(findings) == 2
+        save_baseline(first, findings)
+        save_baseline(second, load_baseline_entries(first))
+        assert second.read_bytes() == first.read_bytes()
 
     def test_corrupt_baseline_is_usage_error(self, tmp_path):
         root = make_repo(tmp_path)

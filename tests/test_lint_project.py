@@ -13,15 +13,11 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.cli import main as repro_main
 from repro.lint.engine import (
-    JSON_SCHEMA,
     collect_files,
     format_result,
     load_context,
-    parse_result_payload,
     run_lint,
 )
 from repro.lint.project import (
@@ -35,7 +31,7 @@ from repro.lint.project import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-PROJECT_CODES = ["RL008", "RL009", "RL010", "RL011", "RL012"]
+PROJECT_CODES = ["RL008", "RL009", "RL010", "RL012"]
 
 
 def project(tmp_path: Path, files: dict) -> Path:
@@ -581,107 +577,6 @@ def pinned():
         assert lint(root, ["RL010"]).findings == []
 
 
-# --------------------------------------------------------- RL011 schema drift
-def baseline_module(emit_extra="", check_extra=""):
-    """A fixture emitter/validator pair for the repro-lint-baseline-v1 contract."""
-    return f"""\
-def save_baseline(path, findings):
-    payload = {{
-        "schema": "repro-lint-baseline-v1",
-        "findings": [
-            {{"code": f.code, "path": f.path, "fingerprint": f.fingerprint{emit_extra}}}
-            for f in findings
-        ],
-    }}
-    return payload
-
-
-def load_baseline_entries(path):
-    data = {{"schema": "", "findings": []}}
-    entries = []
-    for row in data["findings"]:
-        entries.append((row["code"], row["path"], row["fingerprint"]{check_extra}))
-    return data["schema"], entries
-"""
-
-
-class TestSchemaDrift:
-    def test_matching_emitter_and_validator_are_clean(self, tmp_path):
-        root = project(
-            tmp_path,
-            {"src/repro/lint/baseline.py": baseline_module()},
-        )
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_emitted_but_unchecked_key_is_flagged(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "src/repro/lint/baseline.py": baseline_module(
-                    emit_extra=', "extra": 1'
-                )
-            },
-        )
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "'extra' is emitted by save_baseline" in finding.message
-        assert "never checked" in finding.message
-
-    def test_checked_but_never_emitted_key_is_flagged(self, tmp_path):
-        root = project(
-            tmp_path,
-            {
-                "src/repro/lint/baseline.py": baseline_module(
-                    check_extra=', row["ghost"]'
-                )
-            },
-        )
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "checks key 'ghost'" in finding.message
-        assert "no longer exists" in finding.message
-
-    def test_fstring_mention_does_not_count_as_a_check(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "    return data[\"schema\"], entries",
-            "    note = f\"{'extra'} is prose, not a check\"\n"
-            "    return data[\"schema\"], entries, note",
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        (finding,) = lint(root, ["RL011"]).findings
-        assert "'extra'" in finding.message
-
-    def test_plain_constant_mention_counts_as_a_check(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "    entries = []",
-            '    optional = ("extra",)\n    entries = list(optional[:0])',
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_partial_tree_skips_contract(self, tmp_path):
-        # No validator function: the contract must not produce phantom drift.
-        source = baseline_module(emit_extra=', "extra": 1').split(
-            "def load_baseline_entries"
-        )[0]
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
-
-    def test_pragma_on_emit_line_suppresses(self, tmp_path):
-        source = baseline_module(emit_extra=', "extra": 1').replace(
-            "for f in findings",
-            "for f in findings"
-            "  # repro-lint: disable=RL011 extra is a debugging aid, never read back",
-        )
-        # The emitted-key finding anchors at the dict-literal line; excuse it
-        # with a standalone pragma on the preceding line instead.
-        source = source.replace(
-            '            {"code"',
-            "            # repro-lint: disable=RL011 extra is a debugging aid\n"
-            '            {"code"',
-        )
-        root = project(tmp_path, {"src/repro/lint/baseline.py": source})
-        assert lint(root, ["RL011"]).findings == []
-
-
 # ------------------------------------------------------ RL012 pickle boundary
 RUNSPEC_STUB = "class RunSpec:\n    pass\n"
 
@@ -877,35 +772,6 @@ class TestStaleBaseline:
         )
         assert code == 2
         assert "requires the baseline" in capsys.readouterr().out
-
-
-class TestResultPayloadCompat:
-    def test_v2_payload_passes_through(self, tmp_path):
-        root = make_repo(tmp_path)
-        raw = json.loads(
-            format_result(run_lint([Path("src")], root=root, use_baseline=False), "json")
-        )
-        normalized = parse_result_payload(raw)
-        assert normalized["schema"] == JSON_SCHEMA
-        assert normalized["counts"]["stale_baseline"] == 0
-
-    def test_v1_payload_is_normalized(self):
-        normalized = parse_result_payload(
-            {
-                "schema": "repro-lint-v1",
-                "files_checked": 3,
-                "findings": [],
-                "counts": {"total": 0, "new": 0, "baselined": 0},
-            }
-        )
-        assert normalized["stale_baseline"] == []
-        assert normalized["counts"]["stale_baseline"] == 0
-
-    def test_unknown_schema_rejected(self):
-        with pytest.raises(ValueError, match="lint result schema"):
-            parse_result_payload({"schema": "repro-lint-v9"})
-        with pytest.raises(ValueError, match="JSON object"):
-            parse_result_payload(["not", "a", "dict"])
 
 
 class TestGraphArtifactCli:
